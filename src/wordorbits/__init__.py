@@ -17,8 +17,8 @@ from .construct import (ChristoffelArray, ConjugacyScan, FineWilfData,
                         conjugacy_scan, fine_wilf_data, modular_inverse,
                         sturmian_cycle)
 from .perm import (AbelianSpec, GroupSizeError, PermGroup, Permutation,
-                   PointOrbits, abc_permutation, is_n_cycle, normalize_spec,
-                   parse_cycles, parse_group_spec)
+                   PointOrbits, abc_permutation, normalize_spec, parse_cycles,
+                   parse_group_spec)
 from .words import (APERIODIC_NO, APERIODIC_UNKNOWN, APERIODIC_YES,
                     BalanceReport, ExplicitWord, FactorSet, InternalCheckError,
                     PeriodicWord, StabilizationError, SturmianWord,

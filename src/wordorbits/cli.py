@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
 
 from . import __version__
 from .complexity import (BlockPartition, ComplexityTable, OrbitPartition,
@@ -25,8 +24,6 @@ from .perm import (AbelianSpec, GroupSizeError, PermGroup, parse_cycles,
                    parse_group_spec)
 from .words import (FactorSet, InternalCheckError, StabilizationError,
                     factors, parse_word_spec)
-
-SCAN_DEGREE_CAP = 8
 
 
 def _parse_range(text: str) -> range:
@@ -41,42 +38,6 @@ def _parse_range(text: str) -> range:
     except ValueError:
         raise ValueError(f"bad range {text!r}") from None
     return range(n, n + 1)
-
-
-def _groups_from_file(path: str):
-    table = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'n cycle-notation'")
-        n = int(parts[0])
-        table[n] = PermGroup(tuple(parse_cycles(tok, n)
-                                   for tok in parts[1].split(";")))
-
-    def rule(n: int) -> PermGroup:
-        if n not in table:
-            raise ValueError(f"group file {path} has no entry for n={n}")
-        return table[n]
-
-    return rule
-
-
-def _group_rule(spec: str):
-    """A per-length group rule: id | sym | cyc | abc:a,b,c | file:PATH."""
-    if spec == "id":
-        return PermGroup.trivial
-    if spec == "sym":
-        return PermGroup.symmetric
-    if spec == "cyc":
-        return PermGroup.cyclic
-    if spec.startswith("abc:"):
-        return lambda n: parse_group_spec(spec, n)
-    if spec.startswith("file:"):
-        return _groups_from_file(spec[len("file:"):])
-    raise ValueError(f"unrecognized group rule {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +72,7 @@ def _orbits_payload(part: OrbitPartition, word_name: str) -> dict:
         "generators": [g.cycle_string() for g in part.group.generators],
         "classes": [list(cls) for cls in part.blocks],
         "epsilon": part.group.epsilon,
-        "abelian_transitive": part.blocks == part.factor_set.parikh_classes(),
+        "abelian_transitive": part.abelian_transitive,
     }
 
 
@@ -152,7 +113,7 @@ def _run_epsilon(args):
 
 def _run_table(args, check: bool):
     source = parse_word_spec(args.word)
-    rule = _group_rule(args.groups)
+    rule = lambda n: parse_group_spec(args.groups, n)
     ns = _parse_range(args.n)
     if check:
         table = verify_complexity_bound(source, rule, ns)
@@ -192,7 +153,7 @@ def _witness_lines(report: WitnessReport) -> tuple[list[str], list[str]]:
         f"input_kind,{report.input_kind}",
         "input_data," + " ".join(map(str, report.input_data)),
         "padded," + " ".join(map(str, report.padded_sizes)),
-        "cycles," + " ".join(report.cycle_strings(sep=" ")),
+        "cycles," + " ".join(report.cycle_strings()).replace(",", " "),
         f"epsilon,{report.epsilon}",
         f"class_count,{report.class_count}",
         f"passed,{str(report.passed).lower()}",
@@ -221,12 +182,7 @@ def _run_conjugate_witness(args):
 
 
 def _run_christoffel(args):
-    if args.w is not None and args.w_flag is not None:
-        raise ValueError("give the central word once, positionally or via --w")
-    w = args.w if args.w is not None else args.w_flag
-    if w is None:
-        raise ValueError("a central word is required, e.g. christoffel 010010")
-    arr = christoffel_array(w)
+    arr = christoffel_array(args.w)
     payload = arr.to_structured()
     text = arr.render().splitlines()
     csv_lines = ["row,bits"] + [f"{i},{row}"
@@ -235,11 +191,9 @@ def _run_christoffel(args):
 
 
 def _run_scan(args):
-    if args.n > SCAN_DEGREE_CAP:
-        raise ValueError(f"scan degree {args.n} exceeds the guard {SCAN_DEGREE_CAP}")
     source = parse_word_spec(args.word)
     group = parse_group_spec(args.group, args.n)
-    scan = conjugacy_scan(source, group, SCAN_DEGREE_CAP)
+    scan = conjugacy_scan(source, group)
     payload = scan.to_structured()
     payload["word"] = source.name
     text = [
@@ -303,16 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complexity-table", parents=[common],
                        help="tabulate epsilon, class counts and slack")
     p.add_argument("--word", required=True)
-    p.add_argument("--groups", required=True,
-                   help="id | sym | cyc | abc:a,b,c | file:PATH")
+    p.add_argument("--groups", required=True, help="group spec, read at each n")
     p.add_argument("--n", required=True, help="length or range A..B")
     p.set_defaults(handler=lambda args: _run_table(args, check=False))
 
     p = sub.add_parser("verify-theorem1", parents=[common],
                        help="check p(n) >= epsilon(G_n)+1 over a range")
     p.add_argument("--word", required=True)
-    p.add_argument("--groups", required=True,
-                   help="id | sym | cyc | abc:a,b,c | file:PATH")
+    p.add_argument("--groups", required=True, help="group spec, read at each n")
     p.add_argument("--n", required=True, help="length or range A..B")
     p.set_defaults(handler=lambda args: _run_table(args, check=True))
 
@@ -332,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("christoffel", parents=[common],
                        help="sorted cyclic conjugates of 0w1")
-    p.add_argument("w", nargs="?", help="central word, e.g. 010010")
-    p.add_argument("--w", dest="w_flag", help="central word (flag form)")
+    p.add_argument("w", help="central word, e.g. 010010")
     p.set_defaults(handler=_run_christoffel)
 
     p = sub.add_parser("scan-conjugates", parents=[common],
@@ -391,38 +342,33 @@ def run() -> None:
 
 
 # ---------------------------------------------------------------------------
-# structured-output parsers (round-trip support)
+# structured-output parser (round-trip support)
 
 
-def parse_structured_factors(text: str) -> FactorSet:
+def parse_structured(text: str) -> FactorSet | OrbitPartition | WitnessReport:
+    """Rebuild the value behind a ``factors``, ``orbits`` or ``witness`` report."""
     data = json.loads(text)
-    return FactorSet(data["n"], tuple(data["members"]),
-                     data["source_prefix_length"])
-
-
-def parse_structured_orbits(text: str) -> OrbitPartition:
-    data = json.loads(text)
+    kind = data.get("kind")
+    if kind not in ("factors", "orbits", "witness"):
+        raise ValueError(f"cannot rebuild a {kind!r} report")
     n = data["n"]
+    if kind == "witness":
+        partition = BlockPartition(n, tuple(tuple(b) for b in data["blocks"]))
+        cycles = tuple(parse_cycles(s, n) for s in data["cycles"])
+        return WitnessReport(
+            degree=n,
+            input_kind=data["input_kind"],
+            input_data=tuple(data["input_data"]),
+            padded_sizes=tuple(data["padded_sizes"]),
+            partition=partition,
+            cycles=cycles,
+            group=PermGroup(cycles, n),
+            epsilon=data["epsilon"],
+            classes=tuple(tuple(cls) for cls in data["classes"]),
+            passed=data["passed"],
+        )
     fs = FactorSet(n, tuple(data["members"]), data["source_prefix_length"])
+    if kind == "factors":
+        return fs
     group = PermGroup(tuple(parse_cycles(s, n) for s in data["generators"]), n)
-    blocks = tuple(tuple(cls) for cls in data["classes"])
-    return OrbitPartition(fs, group, blocks)
-
-
-def parse_structured_witness(text: str) -> WitnessReport:
-    data = json.loads(text)
-    n = data["n"]
-    partition = BlockPartition(n, tuple(tuple(b) for b in data["blocks"]))
-    cycles = tuple(parse_cycles(s, n) for s in data["cycles"])
-    return WitnessReport(
-        degree=n,
-        input_kind=data["input_kind"],
-        input_data=tuple(data["input_data"]),
-        padded_sizes=tuple(data["padded_sizes"]),
-        partition=partition,
-        cycles=cycles,
-        group=PermGroup(cycles, n),
-        epsilon=data["epsilon"],
-        classes=tuple(tuple(cls) for cls in data["classes"]),
-        passed=data["passed"],
-    )
+    return OrbitPartition(fs, group, tuple(tuple(cls) for cls in data["classes"]))

@@ -33,6 +33,11 @@ class OrbitPartition:
     def class_count(self) -> int:
         return len(self.blocks)
 
+    @property
+    def abelian_transitive(self) -> bool:
+        """True iff the orbit classes coincide with the Parikh classes."""
+        return self.blocks == self.factor_set.parikh_classes()
+
 
 def orbit_classes(fs: FactorSet, group: PermGroup) -> OrbitPartition:
     """Group the members of ``fs`` into orbits of the word action.
@@ -81,7 +86,7 @@ def p_value(source: WordSource, group: PermGroup) -> int:
 
 def is_abelian_transitive(fs: FactorSet, group: PermGroup) -> bool:
     """True iff the orbit classes coincide with the Parikh classes of ``fs``."""
-    return orbit_classes(fs, group).blocks == fs.parikh_classes()
+    return orbit_classes(fs, group).abelian_transitive
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +243,11 @@ def verify_complexity_bound(source: WordSource, groups: GroupSequence,
     guess.  If the slack is zero for every tested length the table is flagged
     sturmian-consistent, after cross-checking the factor count n + 1 and
     balance on the tested range; the flag is a bounded observation, never a
-    claim about all lengths.
+    claim about all lengths.  No lengths at all is an error, not a pass.
     """
+    ns = list(ns)
+    if not ns:
+        raise ValueError("no lengths to check")
     if source.aperiodic != APERIODIC_YES:
         return ComplexityTable(source.name, (), "inapplicable",
                                note=f"source aperiodicity is {source.aperiodic!r}")
@@ -247,7 +255,7 @@ def verify_complexity_bound(source: WordSource, groups: GroupSequence,
     for row in rows:
         if row.slack < 0:
             return ComplexityTable(source.name, rows, "fail", failure_n=row.n)
-    consistent = bool(rows) and all(row.slack == 0 for row in rows)
+    consistent = all(row.slack == 0 for row in rows)
     note = ""
     if consistent:
         tested = [row.n for row in rows]

@@ -21,6 +21,9 @@ from .perm import AbelianSpec, PermGroup, Permutation, abc_permutation
 from .words import (InternalCheckError, SturmianWord, WordSource,
                     bispecial_ladder, factors, restrict)
 
+#: Largest degree :func:`conjugacy_scan` accepts; it enumerates all of S_n.
+SCAN_DEGREE_CAP = 8
+
 
 def modular_inverse(x: int, modulus: int) -> int:
     """The unique y in 1..modulus-1 with x * y = 1 (mod modulus)."""
@@ -108,6 +111,7 @@ def fine_wilf_data(source: SturmianWord, m: int) -> FineWilfData:
     return FineWilfData(m, w, w_prev, r, s, p, q, m - p, p + q - m, m - q)
 
 
+@lru_cache(maxsize=None)
 def sturmian_cycle(source: SturmianWord, m: int) -> Permutation:
     """An m-cycle whose action on the length-m factors is abelian transitive.
 
@@ -116,11 +120,6 @@ def sturmian_cycle(source: SturmianWord, m: int) -> Permutation:
     structure and abelian transitivity are verified before returning, so a
     failure here means a bug, not an unlucky input.
     """
-    return _sturmian_cycle_cached(source, m)
-
-
-@lru_cache(maxsize=None)
-def _sturmian_cycle_cached(source: SturmianWord, m: int) -> Permutation:
     if m < 1:
         raise ValueError("cycle length must be at least 1")
     if m <= 3:
@@ -213,7 +212,7 @@ class WitnessReport:
     def class_count(self) -> int:
         return len(self.classes)
 
-    def cycle_strings(self, sep: str = ",") -> tuple[str, ...]:
+    def cycle_strings(self) -> tuple[str, ...]:
         # Singleton blocks carry the identity; render them by their support
         # so the padding stays visible.
         out = []
@@ -221,7 +220,7 @@ class WitnessReport:
             if len(block) == 1:
                 out.append(f"({block[0]})")
             else:
-                out.append(cyc.cycle_string(sep))
+                out.append(cyc.cycle_string())
         return tuple(out)
 
     def to_structured(self) -> dict:
@@ -352,8 +351,7 @@ class ConjugacyScan:
         }
 
 
-def conjugacy_scan(source: WordSource, group: PermGroup,
-                   degree_cap: int = 8) -> ConjugacyScan:
+def conjugacy_scan(source: WordSource, group: PermGroup) -> ConjugacyScan:
     """Class counts on Fact(n) for every subgroup conjugate to ``group``.
 
     Enumerates all conjugators in S_n (hence the degree guard), deduplicates
@@ -361,8 +359,8 @@ def conjugacy_scan(source: WordSource, group: PermGroup,
     count extrema together with a per-subgroup table.
     """
     n = group.degree
-    if n > degree_cap:
-        raise ValueError(f"degree {n} exceeds the scan guard {degree_cap}")
+    if n > SCAN_DEGREE_CAP:
+        raise ValueError(f"scan degree {n} exceeds the guard {SCAN_DEGREE_CAP}")
     fs = factors(source, n)
     base_elements = group.elements()
     results: dict[frozenset[Permutation], tuple[str, int]] = {}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Iterable, Sequence
 
 
@@ -83,11 +84,11 @@ class Permutation:
         """True iff the permutation is a single cycle through all n points."""
         return len(self.cycles(include_fixed=True)) == 1
 
-    def cycle_string(self, sep: str = ",") -> str:
+    def cycle_string(self) -> str:
         cyc = self.cycles()
         if not cyc:
             return "()"
-        return "".join("(" + sep.join(map(str, c)) + ")" for c in cyc)
+        return "".join("(" + ",".join(map(str, c)) + ")" for c in cyc)
 
     @cached_property
     def _gather(self) -> tuple[int, ...]:
@@ -218,16 +219,19 @@ class PermGroup:
             return cls((Permutation.identity(1),), label="cyc")
         return cls((Permutation(tuple(range(2, n + 1)) + (1,)),), label="cyc")
 
-    def descriptor(self, sep: str = ",") -> str:
+    def descriptor(self) -> str:
         if self.label:
             return self.label
-        return ";".join(g.cycle_string(sep) for g in self.generators)
+        return ";".join(g.cycle_string() for g in self.generators)
 
-    def elements(self, cap: int | None = None) -> tuple[Permutation, ...]:
-        """Breadth-first closure from the identity, in deterministic order."""
+    def elements(self) -> tuple[Permutation, ...]:
+        """Breadth-first closure from the identity, in deterministic order.
+
+        More than ``DEFAULT_CAP`` elements raise :class:`GroupSizeError`.
+        """
         if self._closure is not None:
             return self._closure
-        limit = self.DEFAULT_CAP if cap is None else cap
+        limit = self.DEFAULT_CAP
         ident = Permutation.identity(self.degree)
         known = {ident}
         ordered = [ident]
@@ -296,7 +300,10 @@ def parse_group_spec(text: str, degree: int) -> PermGroup:
     """Parse the group-spec grammar used by the command line.
 
     Accepted forms: ``id`` | ``sym`` | ``cyc`` | cycle notation, with several
-    generators separated by ``;`` | ``abc:a,b,c`` (degree must equal a+b+c).
+    generators separated by ``;`` | ``abc:a,b,c`` (degree must equal a+b+c) |
+    ``file:PATH``, a file of ``n cycle-notation`` lines.  Every line of the
+    file is parsed and validated, a later line for the same ``n`` wins, and a
+    file without a line for ``degree`` is an error.
     """
     if text == "id":
         return PermGroup.trivial(degree)
@@ -315,6 +322,21 @@ def parse_group_spec(text: str, degree: int) -> PermGroup:
     if text.startswith("("):
         return PermGroup(tuple(parse_cycles(part, degree)
                                for part in text.split(";")))
+    if text.startswith("file:"):
+        path = text[len("file:"):]
+        table = {}
+        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'n cycle-notation'")
+            n = int(parts[0])
+            table[n] = tuple(parse_cycles(tok, n) for tok in parts[1].split(";"))
+        if degree not in table:
+            raise ValueError(f"group file {path} has no entry for n={degree}")
+        return PermGroup(table[degree])
     raise ValueError(f"unrecognized group spec {text!r}")
 
 
@@ -342,10 +364,6 @@ def abc_permutation(a: int, b: int, c: int) -> Permutation:
         else:
             images.append(i - b - c)
     return Permutation(tuple(images))
-
-
-def is_n_cycle(sigma: Permutation) -> bool:
-    return sigma.is_cycle()
 
 
 # ---------------------------------------------------------------------------

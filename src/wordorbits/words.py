@@ -318,7 +318,8 @@ def _windows(text: str, n: int) -> set[str]:
     return {text[i:i + n] for i in range(len(text) - n + 1)}
 
 
-def factors(source: WordSource, n: int, prefix_cap: int = PREFIX_CAP) -> FactorSet:
+@lru_cache(maxsize=None)
+def factors(source: WordSource, n: int) -> FactorSet:
     """Every length-``n`` factor occurring in the infinite word.
 
     Factors are read off a finite prefix, doubling its length until the
@@ -327,11 +328,6 @@ def factors(source: WordSource, n: int, prefix_cap: int = PREFIX_CAP) -> FactorS
     exact value n + 1.  Explicit sources use their whole given prefix; for
     them the result is a lower approximation by construction.
     """
-    return _factors_cached(source, n, prefix_cap)
-
-
-@lru_cache(maxsize=None)
-def _factors_cached(source: WordSource, n: int, prefix_cap: int) -> FactorSet:
     if n < 1:
         raise ValueError("factor length must be at least 1")
     if source.kind == "explicit":
@@ -341,10 +337,10 @@ def _factors_cached(source: WordSource, n: int, prefix_cap: int) -> FactorSet:
         return FactorSet(n, tuple(sorted(_windows(word, n))), len(word))
     length = max(4096, 64 * n)
     while True:
-        if 2 * length > prefix_cap:
+        if 2 * length > PREFIX_CAP:
             raise StabilizationError(
                 f"factors of length {n} of {source.name} did not stabilize "
-                f"below the prefix cap {prefix_cap}")
+                f"below the prefix cap {PREFIX_CAP}")
         small = _windows(source.prefix(length), n)
         large = _windows(source.prefix(2 * length), n)
         if small == large:
@@ -364,8 +360,7 @@ class BalanceReport(NamedTuple):
     witness: tuple[str, str] | None = None
 
 
-def is_balanced(source: WordSource, n_max: int,
-                prefix_cap: int = PREFIX_CAP) -> BalanceReport:
+def is_balanced(source: WordSource, n_max: int) -> BalanceReport:
     """Check the balance inequality over all factor lengths up to ``n_max``.
 
     On failure the report carries the first offending length together with a
@@ -374,7 +369,7 @@ def is_balanced(source: WordSource, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     for n in range(1, n_max + 1):
-        fs = factors(source, n, prefix_cap)
+        fs = factors(source, n)
         for letter in fs.alphabet:
             rich = max(fs.members, key=lambda w: w.count(letter))
             poor = min(fs.members, key=lambda w: w.count(letter))
@@ -383,13 +378,13 @@ def is_balanced(source: WordSource, n_max: int,
     return BalanceReport(True)
 
 
-def special_factors(source: WordSource, n: int,
-                    prefix_cap: int = PREFIX_CAP) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+def special_factors(source: WordSource,
+                    n: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
     """Left special, right special and bispecial factors of length ``n``."""
     if n < 0:
         raise ValueError("length must be non-negative")
-    longer = factors(source, n + 1, prefix_cap)
-    base = factors(source, n, prefix_cap).members if n >= 1 else ("",)
+    longer = factors(source, n + 1)
+    base = factors(source, n).members if n >= 1 else ("",)
     present = longer.member_set
     alphabet = longer.alphabet
     left = tuple(u for u in base
@@ -400,8 +395,7 @@ def special_factors(source: WordSource, n: int,
     return left, right, bispecial
 
 
-def bispecial_ladder(source: WordSource, up_to: int,
-                     prefix_cap: int = PREFIX_CAP) -> tuple[str, ...]:
+def bispecial_ladder(source: WordSource, up_to: int) -> tuple[str, ...]:
     """Bispecial factors of length <= ``up_to``, in increasing length.
 
     Defined for sturmian-kind sources, whose bispecial factors are unique per
@@ -411,7 +405,7 @@ def bispecial_ladder(source: WordSource, up_to: int,
         raise ValueError("the bispecial ladder requires a sturmian-kind source")
     out: list[str] = []
     for n in range(up_to + 1):
-        _, _, bis = special_factors(source, n, prefix_cap)
+        _, _, bis = special_factors(source, n)
         if len(bis) > 1:
             raise InternalCheckError(
                 f"{source.name} has {len(bis)} bispecial factors of length {n}")

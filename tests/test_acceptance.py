@@ -14,7 +14,7 @@ from wordorbits.construct import (build_conjugate_witness,
                                   build_isomorphic_witness, christoffel_array,
                                   conjugacy_scan, sturmian_cycle)
 from wordorbits.perm import (PermGroup, Permutation, abc_permutation,
-                             is_n_cycle, normalize_spec, parse_cycles)
+                             normalize_spec, parse_cycles)
 from wordorbits.words import (SturmianWord, bispecial_ladder, factors,
                               fibonacci, thue_morse)
 
@@ -126,7 +126,7 @@ def test_criterion_5_interval_exchange_cycles():
     for source in (FIB, SturmianWord((2, 1)), SturmianWord((1, 2, 3))):
         for m in range(1, 41):
             sigma = sturmian_cycle(source, m)
-            ok &= is_n_cycle(sigma)
+            ok &= sigma.is_cycle()
             fs = factors(source, m)
             brute = closure_classes(fs, PermGroup((sigma,)))
             ok &= brute == fs.parikh_classes()
@@ -278,7 +278,7 @@ def test_criterion_10_abc_cycle_criterion_exhaustive():
             for b in range(total - a + 1):
                 c = total - a - b
                 sigma = abc_permutation(a, b, c)
-                ok &= is_n_cycle(sigma) == (math.gcd(a + b, b + c) == 1)
+                ok &= sigma.is_cycle() == (math.gcd(a + b, b + c) == 1)
                 checked += 1
     _record(10, ok, time.perf_counter() - started, 5,
             f"all {checked} interval-exchange shapes up to degree 12")

@@ -1,11 +1,14 @@
 """The command-line workbench: grammars, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from wordorbits.cli import (main, parse_structured_factors,
-                            parse_structured_orbits, parse_structured_witness)
+from wordorbits.cli import main, parse_structured
 from wordorbits.complexity import orbit_classes
 from wordorbits.construct import build_isomorphic_witness
 from wordorbits.perm import PermGroup, normalize_spec, parse_cycles
@@ -76,10 +79,11 @@ def test_conjugate_witness_verb(capsys):
 def test_christoffel_verb_positional_and_flag(capsys):
     code, out = run_cli(capsys, "christoffel", "010010")
     assert code == 0
-    code2, out2 = run_cli(capsys, "christoffel", "--w", "010010")
-    assert code2 == 0
-    assert [l for l in out.splitlines() if not l.startswith("#")] == \
-        [l for l in out2.splitlines() if not l.startswith("#")]
+    assert "0 0 1 0 0 1 0 1" in out
+    # the --w alias is gone; the positional form is the only one
+    with pytest.raises(SystemExit) as exc:
+        main(["christoffel", "--w", "010010"])
+    assert exc.value.code == 2
 
 
 def test_scan_verb(capsys):
@@ -120,6 +124,13 @@ def test_bad_group_spec_exits_2(capsys):
 def test_scan_guard_exits_2(capsys):
     assert main(["scan-conjugates", "--word", "fib", "--n", "12",
                  "--group", "id"]) == 2
+
+
+def test_verify_empty_range_exits_2(capsys):
+    code, out = run_cli(capsys, "verify-theorem1", "--word", "fib",
+                        "--groups", "id", "--n", "5..3")
+    assert code == 2
+    assert out == ""
 
 
 def test_verify_inapplicable_exits_2(capsys):
@@ -176,6 +187,21 @@ def test_group_file_rule(tmp_path, capsys):
                  "--groups", f"file:{path}", "--n", "4..6"]) == 2
 
 
+def test_group_grammar_is_shared_by_every_verb(tmp_path, capsys):
+    path = tmp_path / "groups.txt"
+    path.write_text("4 (1,2)\n4 (1,3,2,4)\n")  # the later line wins
+    code, out = run_cli(capsys, "orbits", "--word", "fib", "--n", "4",
+                        "--group", f"file:{path}")
+    assert code == 0
+    assert "group: (1,3,2,4)" in out
+    assert "abelian-transitive: true" in out
+    code, out = run_cli(capsys, "complexity-table", "--word", "fib",
+                        "--groups", "(1,3,2,4)", "--n", "4")
+    assert code == 0
+    assert "4  (1,3,2,4)  1        2  0" in out
+    assert main(["epsilon", "--group", f"file:{path}", "--n", "5"]) == 2
+
+
 # --- determinism --------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
@@ -215,7 +241,7 @@ def test_csv_needs_no_quoting(capsys):
 def test_factors_round_trip(capsys):
     _, out = run_cli(capsys, "factors", "--word", "fib", "--n", "4",
                      "--format", "structured")
-    assert parse_structured_factors(out) == factors(fibonacci(), 4)
+    assert parse_structured(out) == factors(fibonacci(), 4)
 
 
 def test_orbits_round_trip(capsys):
@@ -223,14 +249,32 @@ def test_orbits_round_trip(capsys):
                      "--group", "(1,3,2,4)", "--format", "structured")
     expected = orbit_classes(factors(fibonacci(), 4),
                              PermGroup((parse_cycles("(1,3,2,4)"),)))
-    assert parse_structured_orbits(out) == expected
+    assert parse_structured(out) == expected
 
 
 def test_witness_round_trip(capsys):
     _, out = run_cli(capsys, "witness", "--word", "fib", "--n", "4",
                      "--abelian", "Z2", "--format", "structured")
     expected = build_isomorphic_witness(fibonacci(), 4, normalize_spec([2]))
-    assert parse_structured_witness(out) == expected
+    assert parse_structured(out) == expected
+
+
+def test_parse_structured_refuses_other_kinds(capsys):
+    _, out = run_cli(capsys, "fine-wilf", "--word", "fib", "--m", "8",
+                     "--format", "structured")
+    with pytest.raises(ValueError):
+        parse_structured(out)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["factors", "--word", "fib", "--n", "4"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "wordorbits", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
+    _, out = run_cli(capsys, *argv)
+    assert proc.stdout == out
 
 
 def test_structured_is_versioned_json(capsys):

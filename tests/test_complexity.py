@@ -215,6 +215,13 @@ def test_bound_harness_refuses_unknown_aperiodicity():
         assert table.rows == ()
 
 
+def test_bound_harness_refuses_an_empty_range():
+    # no lengths means nothing was checked; that must not read as a pass
+    for source in (FIB, PeriodicWord("01")):
+        with pytest.raises(ValueError):
+            verify_complexity_bound(source, PermGroup.trivial, range(5, 4))
+
+
 def test_complexity_table_accepts_any_source():
     rows = complexity_table(PeriodicWord("01"), PermGroup.trivial, [1, 2, 3])
     assert [row.p for row in rows] == [2, 2, 2]

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wordorbits.perm import (AbelianSpec, GroupSizeError, PermGroup,
-                             Permutation, abc_permutation, is_n_cycle,
-                             normalize_spec, parse_cycles, parse_group_spec)
+                             Permutation, abc_permutation, normalize_spec,
+                             parse_cycles, parse_group_spec)
 from wordorbits.words import parikh
 
 
@@ -121,10 +121,11 @@ def test_closure_small_groups():
     assert PermGroup.trivial(5).order == 1
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
+    monkeypatch.setattr(PermGroup, "DEFAULT_CAP", 100)
     big = PermGroup.symmetric(8)
     with pytest.raises(GroupSizeError):
-        big.elements(cap=100)
+        big.elements()
 
 
 def test_single_generator_order_matches_element_order():
@@ -209,14 +210,14 @@ def test_abc_full_cycle_iff_coprime_sums():
             for b in range(total - a + 1):
                 c = total - a - b
                 sigma = abc_permutation(a, b, c)
-                assert is_n_cycle(sigma) == (math.gcd(a + b, b + c) == 1)
+                assert sigma.is_cycle() == (math.gcd(a + b, b + c) == 1)
 
 
 def test_is_n_cycle():
-    assert is_n_cycle(parse_cycles("(1,2,3,4)"))
-    assert not is_n_cycle(parse_cycles("(1,2)(3,4)"))
-    assert is_n_cycle(Permutation.identity(1))
-    assert not is_n_cycle(Permutation.identity(2))
+    assert parse_cycles("(1,2,3,4)").is_cycle()
+    assert not parse_cycles("(1,2)(3,4)").is_cycle()
+    assert Permutation.identity(1).is_cycle()
+    assert not Permutation.identity(2).is_cycle()
 
 
 # --- abelian specs ---------------------------------------------------------------

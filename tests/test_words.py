@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from wordorbits import words
 from wordorbits.words import (ExplicitWord, PeriodicWord, StabilizationError,
                               SturmianWord, SubstitutionWord, abelian_equiv,
                               bispecial_ladder, factors, fibonacci,
@@ -95,9 +96,10 @@ def test_sturmian_reversal_closure():
             assert members == {w[::-1] for w in members}
 
 
-def test_stabilization_cap_is_an_error():
+def test_stabilization_cap_is_an_error(monkeypatch):
+    monkeypatch.setattr(words, "PREFIX_CAP", 64)
     with pytest.raises(StabilizationError):
-        factors(SturmianWord((1,), label="capped"), 12, prefix_cap=64)
+        factors(SturmianWord((1,), label="capped"), 12)
 
 
 def test_explicit_source_uses_whole_prefix():
