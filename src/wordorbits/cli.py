@@ -15,8 +15,7 @@ import time
 
 from . import __version__
 from .complexity import (BlockPartition, ComplexityTable, OrbitPartition,
-                         STRUCTURED_FORMAT, complexity_table, orbit_classes,
-                         verify_complexity_bound)
+                         complexity_table, orbit_classes, verify_complexity_bound)
 from .construct import (WitnessReport, build_conjugate_witness,
                         build_isomorphic_witness, christoffel_array,
                         conjugacy_scan, fine_wilf_data)
@@ -24,6 +23,8 @@ from .perm import (AbelianSpec, GroupSizeError, PermGroup, parse_cycles,
                    parse_group_spec)
 from .words import (FactorSet, InternalCheckError, StabilizationError,
                     factors, parse_word_spec)
+
+STRUCTURED_FORMAT = "wordorbits/1"
 
 
 def _parse_range(text: str) -> range:

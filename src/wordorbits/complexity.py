@@ -14,11 +14,9 @@ import io
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .perm import PermGroup
+from .perm import GroupSizeError, PermGroup
 from .words import (APERIODIC_YES, FactorSet, InternalCheckError, WordSource,
                     factors, is_balanced, parikh_key, restrict)
-
-STRUCTURED_FORMAT = "wordorbits/1"
 
 
 @dataclass(frozen=True)
@@ -46,6 +44,9 @@ def orbit_classes(fs: FactorSet, group: PermGroup) -> OrbitPartition:
     generators and their inverses, so the full group is never materialized.
     The search walks through words outside the factor set (an orbit may leave
     it and come back); the class inside the set is orbit intersect members.
+    The maps include the inverses, so the orbit graph is undirected and the
+    previous and current BFS levels are all it keeps; an orbit of more than
+    ``PermGroup.DEFAULT_CAP`` words raises :class:`GroupSizeError`.
     Classes are ordered by least member, members lexicographically.
     """
     if fs.n != group.degree:
@@ -58,18 +59,24 @@ def orbit_classes(fs: FactorSet, group: PermGroup) -> OrbitPartition:
     for u in fs.members:
         if u not in unassigned:
             continue
-        orbit = {u}
-        frontier = [u]
+        found, visited = [u], 1
+        previous, frontier = set(), {u}
         while frontier:
-            fresh = []
+            fresh = set()
             for w in frontier:
                 for g in maps:
                     v = g.act(w)
-                    if v not in orbit:
-                        orbit.add(v)
-                        fresh.append(v)
-            frontier = fresh
-        cls = tuple(sorted(orbit & member_set))
+                    if v in fresh or v in frontier or v in previous:
+                        continue
+                    fresh.add(v)
+                    if v in member_set:
+                        found.append(v)
+            visited += len(fresh)
+            if visited > PermGroup.DEFAULT_CAP:
+                raise GroupSizeError(f"orbit of {u} under <{group.descriptor()}> "
+                                     f"exceeds cap {PermGroup.DEFAULT_CAP}")
+            previous, frontier = frontier, fresh
+        cls = tuple(sorted(found))
         if len({parikh_key(w) for w in cls}) != 1:
             raise InternalCheckError(
                 "orbit class spans several Parikh classes; the action cannot do that")
@@ -200,7 +207,6 @@ class ComplexityTable:
 
     def to_structured(self) -> dict:
         return {
-            "format": STRUCTURED_FORMAT,
             "kind": "complexity-table",
             "word": self.word,
             "rows": [{"n": r.n, "group": r.group, "epsilon": r.epsilon,

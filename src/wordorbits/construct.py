@@ -13,10 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .complexity import (STRUCTURED_FORMAT, BlockPartition,
-                         is_abelian_transitive, orbit_classes)
+from .complexity import BlockPartition, is_abelian_transitive, orbit_classes
 from .perm import AbelianSpec, PermGroup, Permutation, abc_permutation
 from .words import (InternalCheckError, SturmianWord, WordSource,
                     bispecial_ladder, factors, restrict)
@@ -77,23 +75,11 @@ class FineWilfData:
 
     def to_structured(self) -> dict:
         return {
-            "format": STRUCTURED_FORMAT,
             "kind": "fine-wilf",
             "m": self.m, "w": self.w, "w_prev": self.w_prev,
             "r": self.r, "s": self.s, "p": self.p, "q": self.q,
             "a": self.a, "b": self.b, "c": self.c,
         }
-
-
-def _bracketing_bispecials(source: SturmianWord, m: int) -> tuple[str, str]:
-    """First bispecial factor w with |w| + 2 >= m, and its predecessor."""
-    up_to = m
-    while True:
-        ladder = bispecial_ladder(source, up_to)
-        for prev, cur in itertools.pairwise(ladder):
-            if len(cur) >= m - 2:
-                return prev, cur
-        up_to *= 2
 
 
 def fine_wilf_data(source: SturmianWord, m: int) -> FineWilfData:
@@ -102,7 +88,13 @@ def fine_wilf_data(source: SturmianWord, m: int) -> FineWilfData:
         raise ValueError("lengths below 4 use the fixed base cycles directly")
     if source.kind != "sturmian":
         raise ValueError("interval-exchange data requires a sturmian-kind source")
-    w_prev, w = _bracketing_bispecials(source, m)
+    # Consecutive central words satisfy |w| + 2 < 2 (|w_prev| + 2), so the
+    # first one with |w| + 2 >= m is shorter than 2m.
+    for w_prev, w in itertools.pairwise(bispecial_ladder(source, 2 * m)):
+        if len(w) >= m - 2:
+            break
+    else:
+        raise InternalCheckError(f"{source.name} has no central word of length {m - 2}..{2 * m}")
     marked = "0" + w + "1"
     r = marked.count("1")
     s = marked.count("0")
@@ -111,7 +103,6 @@ def fine_wilf_data(source: SturmianWord, m: int) -> FineWilfData:
     return FineWilfData(m, w, w_prev, r, s, p, q, m - p, p + q - m, m - q)
 
 
-@lru_cache(maxsize=None)
 def sturmian_cycle(source: SturmianWord, m: int) -> Permutation:
     """An m-cycle whose action on the length-m factors is abelian transitive.
 
@@ -170,7 +161,6 @@ class ChristoffelArray:
 
     def to_structured(self) -> dict:
         return {
-            "format": STRUCTURED_FORMAT,
             "kind": "christoffel",
             "r": self.r, "s": self.s,
             "rows": list(self.rows),
@@ -225,7 +215,6 @@ class WitnessReport:
 
     def to_structured(self) -> dict:
         return {
-            "format": STRUCTURED_FORMAT,
             "kind": "witness",
             "n": self.degree,
             "input_kind": self.input_kind,
@@ -341,7 +330,6 @@ class ConjugacyScan:
 
     def to_structured(self) -> dict:
         return {
-            "format": STRUCTURED_FORMAT,
             "kind": "conjugacy-scan",
             "n": self.degree,
             "min_classes": self.min_classes,

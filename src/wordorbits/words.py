@@ -8,6 +8,7 @@ the permutation machinery in :mod:`wordorbits.perm`.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -64,11 +65,9 @@ class SturmianWord:
         if length < 1:
             raise ValueError("prefix length must be at least 1")
         prev, cur = "1", "0"
-        k = 0
+        digits = itertools.chain(self.directive, itertools.repeat(self.directive[-1]))
         while len(cur) < length:
-            digit = self.directive[min(k, len(self.directive) - 1)]
-            prev, cur = cur, cur * digit + prev
-            k += 1
+            prev, cur = cur, cur * next(digits) + prev
         return cur[:length]
 
 
@@ -115,12 +114,14 @@ class SubstitutionWord:
         if length < 1:
             raise ValueError("prefix length must be at least 1")
         table = dict(self.rules)
-        word = self.seed
+        # The fixed point is u = σ(u[0])σ(u[1])…, so appending the images of
+        # the letters not substituted yet keeps word == σ(word[:done]) on u.
+        word, done = list(table[self.seed]), 1
         while len(word) < length:
-            # The image of a prefix is a prefix of the image, so truncating
-            # before each application stays on the fixed point.
-            word = "".join(table[ch] for ch in word[:length])
-        return word[:length]
+            end = len(word)
+            word += "".join(map(table.__getitem__, word[done:end]))
+            done = end
+        return "".join(word[:length])
 
 
 @dataclass(frozen=True)
@@ -398,23 +399,23 @@ def special_factors(source: WordSource,
 def bispecial_ladder(source: WordSource, up_to: int) -> tuple[str, ...]:
     """Bispecial factors of length <= ``up_to``, in increasing length.
 
-    Defined for sturmian-kind sources, whose bispecial factors are unique per
-    length and palindromic; the ladder starts with the empty word.
+    Defined for sturmian-kind sources, whose bispecial factors are the
+    central words: the palindromic prefixes of the characteristic word, of
+    lengths ``|s[k-1]| * j + |s[k-2]| - 2`` for ``j = 1..d_k`` (de Luca 1997).
+    The ladder starts with the empty word.
     """
     if source.kind != "sturmian":
         raise ValueError("the bispecial ladder requires a sturmian-kind source")
+    word = source.prefix(up_to + 1)
     out: list[str] = []
-    for n in range(up_to + 1):
-        _, _, bis = special_factors(source, n)
-        if len(bis) > 1:
-            raise InternalCheckError(
-                f"{source.name} has {len(bis)} bispecial factors of length {n}")
-        for w in bis:
-            if w != w[::-1]:
-                raise InternalCheckError(
-                    f"non-palindromic bispecial factor {w!r} for {source.name}")
-            out.append(w)
-    return tuple(out)
+    prev, cur = 1, 1  # |s[k-2]|, |s[k-1]|
+    for digit in itertools.chain(source.directive, itertools.repeat(source.directive[-1])):
+        for j in range(1, digit + 1):
+            length = cur * j + prev - 2
+            if length > up_to:
+                return tuple(out)
+            out.append(word[:length])
+        prev, cur = cur, cur * digit + prev
 
 
 def is_rich_in(word: str, letter: str, fs: FactorSet) -> bool:

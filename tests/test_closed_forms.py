@@ -1,0 +1,86 @@
+"""Closed-form constructions against the brute-force definitions they replace.
+
+The oracles here are the earlier implementations: the bispecial ladder read
+off factor sets (two per length) and substitution prefixes rebuilt by
+re-substituting the whole prefix every round.
+"""
+
+import random
+
+import pytest
+
+from wordorbits.construct import fine_wilf_data
+from wordorbits.words import (SturmianWord, bispecial_ladder, parse_word_spec,
+                              special_factors)
+
+
+def _directives():
+    rng = random.Random(41)
+    out = [(1,), (2,), (3,), (7,), (1, 2), (2, 1), (1, 1, 5), (4, 1, 1)]
+    while len(out) < 32:
+        d = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 6)))
+        if d not in out:
+            out.append(d)
+    return out
+
+
+DIRECTIVES = _directives()
+
+
+def factor_set_ladder(source, up_to):
+    """Bispecial factors per length from the left and right special factors."""
+    out = []
+    for n in range(up_to + 1):
+        _, _, bis = special_factors(source, n)
+        assert len(bis) <= 1, f"{source.name} has {len(bis)} bispecials of length {n}"
+        for w in bis:
+            assert w == w[::-1], f"non-palindromic bispecial {w!r} in {source.name}"
+            out.append(w)
+    return tuple(out)
+
+
+def resubstituted_prefix(source, length):
+    """Apply the substitution to the whole prefix until it is long enough."""
+    table = dict(source.rules)
+    word = source.seed
+    while len(word) < length:
+        word = "".join(table[ch] for ch in word[:length])
+    return word[:length]
+
+
+@pytest.mark.parametrize("directive", DIRECTIVES)
+def test_ladder_matches_factor_set_oracle(directive):
+    source = SturmianWord(directive)
+    assert bispecial_ladder(source, 60) == factor_set_ladder(source, 60)
+
+
+@pytest.mark.parametrize("directive", DIRECTIVES)
+def test_ladder_is_the_palindromic_prefixes(directive):
+    source = SturmianWord(directive)
+    word = source.prefix(2000)
+    palindromes = tuple(word[:n] for n in range(2001)
+                        if word[:n] == word[:n][::-1])
+    assert bispecial_ladder(source, 2000) == palindromes
+
+
+@pytest.mark.parametrize("directive", DIRECTIVES)
+def test_fine_wilf_data_for_every_m_up_to_400(directive):
+    source = SturmianWord(directive)
+    for m in range(4, 401):
+        data = fine_wilf_data(source, m)
+        assert len(data.w_prev) + 2 < m <= len(data.w) + 2
+
+
+@pytest.mark.parametrize("spec", [
+    "tm",
+    "subst:0=01,1=1;seed=0",
+    "subst:1=1222,2=2;seed=1",
+    "subst:a=abc,b=b,c=ca;seed=a",
+    "subst:x=xyzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz,y=zx,z=y;seed=x",
+])
+def test_prefix_matches_resubstitution_oracle(spec):
+    source = parse_word_spec(spec)
+    long = resubstituted_prefix(source, 3000)
+    assert source.prefix(3000) == long
+    for length in range(1, 400):
+        assert source.prefix(length) == long[:length]

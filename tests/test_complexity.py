@@ -5,11 +5,12 @@ import random
 
 import pytest
 
+from wordorbits.cli import main
 from wordorbits.complexity import (BlockPartition, block_classes,
                                    complexity_table, is_abelian_transitive,
                                    orbit_classes, p_value,
                                    verify_complexity_bound)
-from wordorbits.perm import PermGroup, Permutation, parse_cycles
+from wordorbits.perm import GroupSizeError, PermGroup, Permutation, parse_cycles
 from wordorbits.words import (ExplicitWord, PeriodicWord, SturmianWord,
                               factors, fibonacci, thue_morse)
 
@@ -75,6 +76,16 @@ def test_orbit_classes_match_full_closure_oracle():
             key = tuple(sorted(images & fs.member_set))
             oracle.setdefault(key, key)
         assert set(part.blocks) == set(oracle)
+
+
+def test_orbit_search_cap_is_a_typed_error(monkeypatch, capsys):
+    # under sym the orbit of a length-10 factor is C(10, k) words, up to 252
+    monkeypatch.setattr(PermGroup, "DEFAULT_CAP", 100)
+    with pytest.raises(GroupSizeError):
+        orbit_classes(factors(TM, 10), PermGroup.symmetric(10))
+    assert main(["verify-theorem1", "--word", "tm", "--groups", "sym",
+                 "--n", "10"]) == 2
+    assert "exceeds cap 100" in capsys.readouterr().err
 
 
 # --- p values -----------------------------------------------------------------------
@@ -243,6 +254,7 @@ def test_table_serializations():
     assert csv_text.splitlines()[0] == "n,group,epsilon,p,slack"
     assert '"' not in csv_text
     data = table.to_structured()
-    assert data["format"] == "wordorbits/1"
+    assert data["kind"] == "complexity-table"
+    assert "format" not in data  # the CLI adds the format tag to every report
     assert json.dumps(data)  # JSON-serializable
     assert [row["n"] for row in data["rows"]] == [1, 2, 3, 4]
