@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
-from .perm import GroupSizeError, PermGroup
+from .perm import GroupSizeError, PermGroup, Permutation
 from .words import (APERIODIC_YES, FactorSet, InternalCheckError, WordSource,
                     factors, is_balanced, parikh_key, restrict)
 
@@ -40,6 +41,98 @@ class OrbitPartition:
 def orbit_classes(fs: FactorSet, group: PermGroup) -> OrbitPartition:
     """Group the members of ``fs`` into orbits of the word action.
 
+    When :func:`_canonical_key` finds a closed-form key for ``group``, each
+    member gets one key and the members are grouped by it; otherwise the
+    orbits are searched word by word (:func:`_orbit_search`).  Either way an
+    orbit class spanning several Parikh classes is an
+    :class:`InternalCheckError`.  Classes are ordered by least member,
+    members lexicographically.
+    """
+    if fs.n != group.degree:
+        raise ValueError(f"factor length {fs.n} != group degree {group.degree}")
+    key = _canonical_key(group)
+    if key is None:
+        blocks = _orbit_search(fs, group)
+    else:
+        classes: dict[tuple[str, ...], list[str]] = {}
+        for w in fs.members:
+            classes.setdefault(key(w), []).append(w)
+        blocks = tuple(map(tuple, classes.values()))
+    for cls in blocks:
+        if len({parikh_key(w) for w in cls}) != 1:
+            raise InternalCheckError(
+                "orbit class spans several Parikh classes; the action cannot do that")
+    return OrbitPartition(fs, group, blocks)
+
+
+def _canonical_key(group: PermGroup) -> Callable[[str], tuple[str, ...]] | None:
+    """A map from words to keys that agree exactly on the orbits of ``group``.
+
+    Each generator couples every point it moves, so the components of the
+    union of the generators' supports split the group into a direct product,
+    and a word's orbit is the product of the orbits of its restrictions.
+    Points no generator moves key to their letter.  A component is
+    symmetric when some generator is one cycle ``c`` through all of it and
+    some generator is a transposition ``(a, c(a))``: conjugating the
+    transposition by powers of ``c`` gives every adjacent transposition
+    along ``c``, so the restriction keys to its sorted letters.  A component
+    moved by a single generator that is one cycle keys to the least rotation
+    of its letters read in cycle order.  Any other component has no key
+    here, and the result is None.
+    """
+    components: list[tuple[set[int], list[Permutation]]] = []
+    for g in group.generators:
+        points = {p for cyc in g.cycles() for p in cyc}
+        if not points:
+            continue
+        gens = [g]
+        for comp in [comp for comp in components if comp[0] & points]:
+            components.remove(comp)
+            points |= comp[0]
+            gens += comp[1]
+        components.append((points, gens))
+    moved: set[int] = set()
+    symmetric, rotating = [], []
+    for points, gens in components:
+        moved |= points
+        k = len(points)
+        cycles = [g.cycles() for g in gens]
+        full = [cyc[0] for cyc in cycles if len(cyc) == 1 and len(cyc[0]) == k]
+        swaps = {frozenset(cyc[0]) for cyc in cycles if len(cyc) == 1 and len(cyc[0]) == 2}
+        if any(frozenset(pair) in swaps
+               for cyc in full for pair in zip(cyc, cyc[1:] + cyc[:1])):
+            symmetric.append(itemgetter(*(p - 1 for p in sorted(points))))
+        elif len(gens) == 1 and full:
+            rotating.append(itemgetter(*(p - 1 for p in full[0])))
+        else:
+            return None
+    fixed = [p - 1 for p in range(1, group.degree + 1) if p not in moved]
+    rest = itemgetter(*fixed) if fixed else lambda w: ""
+
+    def key(w: str) -> tuple[str, ...]:
+        return ("".join(rest(w)),
+                *("".join(sorted(get(w))) for get in symmetric),
+                *(_least_rotation("".join(get(w))) for get in rotating))
+    return key
+
+
+def _least_rotation(r: str) -> str:
+    """The lexicographically least rotation of ``r``.
+
+    It starts with the least letter, at the start of a run of it: a rotation
+    starting one letter into a run is beaten by the one starting a letter
+    earlier, unless ``r`` is that letter throughout.
+    """
+    k = len(r)
+    rr = r + r
+    least = min(r)
+    return min((rr[i:i + k] for i in range(k) if r[i] == least and r[i - 1] != least),
+               default=r)
+
+
+def _orbit_search(fs: FactorSet, group: PermGroup) -> tuple[tuple[str, ...], ...]:
+    """Orbit classes of ``fs`` found by searching each orbit word by word.
+
     The orbit of each member is explored breadth-first by applying the
     generators and their inverses, so the full group is never materialized.
     The search walks through words outside the factor set (an orbit may leave
@@ -47,10 +140,7 @@ def orbit_classes(fs: FactorSet, group: PermGroup) -> OrbitPartition:
     The maps include the inverses, so the orbit graph is undirected and the
     previous and current BFS levels are all it keeps; an orbit of more than
     ``PermGroup.DEFAULT_CAP`` words raises :class:`GroupSizeError`.
-    Classes are ordered by least member, members lexicographically.
     """
-    if fs.n != group.degree:
-        raise ValueError(f"factor length {fs.n} != group degree {group.degree}")
     maps = list(group.generators)
     maps += [g.inverse() for g in group.generators]
     member_set = fs.member_set
@@ -77,12 +167,9 @@ def orbit_classes(fs: FactorSet, group: PermGroup) -> OrbitPartition:
                                      f"exceeds cap {PermGroup.DEFAULT_CAP}")
             previous, frontier = frontier, fresh
         cls = tuple(sorted(found))
-        if len({parikh_key(w) for w in cls}) != 1:
-            raise InternalCheckError(
-                "orbit class spans several Parikh classes; the action cannot do that")
         blocks.append(cls)
         unassigned.difference_update(cls)
-    return OrbitPartition(fs, group, tuple(blocks))
+    return tuple(blocks)
 
 
 def p_value(source: WordSource, group: PermGroup) -> int:

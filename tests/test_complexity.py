@@ -5,12 +5,17 @@ import random
 
 import pytest
 
+from wordorbits import complexity
 from wordorbits.cli import main
-from wordorbits.complexity import (BlockPartition, block_classes,
-                                   complexity_table, is_abelian_transitive,
-                                   orbit_classes, p_value,
-                                   verify_complexity_bound)
-from wordorbits.perm import GroupSizeError, PermGroup, Permutation, parse_cycles
+from wordorbits.complexity import (BlockPartition, _canonical_key,
+                                   _least_rotation, _orbit_search,
+                                   block_classes, complexity_table,
+                                   is_abelian_transitive, orbit_classes,
+                                   p_value, verify_complexity_bound)
+from wordorbits.construct import build_isomorphic_witness
+from wordorbits.perm import (AbelianSpec, GroupSizeError, PermGroup,
+                             Permutation, normalize_spec, parse_cycles,
+                             parse_group_spec)
 from wordorbits.words import (ExplicitWord, PeriodicWord, SturmianWord,
                               factors, fibonacci, thue_morse)
 
@@ -20,13 +25,15 @@ G1 = PermGroup((parse_cycles("(1,2,3,4)"),))
 G2 = PermGroup((parse_cycles("(1,3,2,4)"),))
 
 
+def random_permutation(rng, n):
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    return Permutation(tuple(images))
+
+
 def random_group(rng, n, max_gens=2):
-    gens = []
-    for _ in range(rng.randint(1, max_gens)):
-        images = list(range(1, n + 1))
-        rng.shuffle(images)
-        gens.append(Permutation(tuple(images)))
-    return PermGroup(gens)
+    return PermGroup([random_permutation(rng, n)
+                      for _ in range(rng.randint(1, max_gens))])
 
 
 # --- orbit classes ----------------------------------------------------------------
@@ -79,13 +86,100 @@ def test_orbit_classes_match_full_closure_oracle():
 
 
 def test_orbit_search_cap_is_a_typed_error(monkeypatch, capsys):
-    # under sym the orbit of a length-10 factor is C(10, k) words, up to 252
+    # (1,3) and the 10-cycle do not generate S_10, so this group takes the
+    # orbit search; its orbits on length-10 factors exceed 100 words
+    spec = "(1,3);(1,2,3,4,5,6,7,8,9,10)"
     monkeypatch.setattr(PermGroup, "DEFAULT_CAP", 100)
     with pytest.raises(GroupSizeError):
-        orbit_classes(factors(TM, 10), PermGroup.symmetric(10))
-    assert main(["verify-theorem1", "--word", "tm", "--groups", "sym",
+        orbit_classes(factors(TM, 10), parse_group_spec(spec, 10))
+    assert main(["verify-theorem1", "--word", "tm", "--groups", spec,
                  "--n", "10"]) == 2
     assert "exceeds cap 100" in capsys.readouterr().err
+
+
+def test_symmetric_classes_beyond_the_search_cap():
+    # one sym orbit here holds C(200, 100) words; the Parikh key never walks it
+    assert orbit_classes(factors(TM, 200), PermGroup.symmetric(200)).class_count == 3
+
+
+def trap_group(n):
+    # (1,3) is not adjacent along the n-cycle; for even n the group keeps
+    # the odd and the even positions apart, so it is not S_n
+    return PermGroup((parse_cycles("(1,3)", n), PermGroup.cyclic(n).generators[0]))
+
+
+def random_block_group(rng, n):
+    # random blocks, some fixed points; each block carries either one
+    # cycle or a cycle plus a transposition adjacent along it
+    points = list(range(1, n + 1))
+    rng.shuffle(points)
+    gens = []
+    while points:
+        size = rng.randint(1, 4)
+        block, points = points[:size], points[size:]
+        if len(block) == 1:
+            continue
+        gens.append(parse_cycles("(" + ",".join(map(str, block)) + ")", n))
+        if rng.random() < 0.5:
+            gens.append(parse_cycles(f"({block[0]},{block[1]})", n))
+    rng.shuffle(gens)
+    return PermGroup(gens, n)
+
+
+def keyed_groups(rng):
+    for n in range(1, 10):
+        yield PermGroup.symmetric(n)
+        yield PermGroup.symmetric(n).conjugate(random_permutation(rng, n))
+        yield PermGroup.cyclic(n)
+        yield random_block_group(rng, n)
+    for n in range(2, 10):
+        yield parse_group_spec("(1,2);(" + ",".join(map(str, range(1, n + 1))) + ")", n)
+    for spec in ("[2,3,4]", "[5,1,3]", "[7]", "[1,1]", "[2,2,2,1]"):
+        yield AbelianSpec.parse(spec).embed()
+
+
+def test_canonical_keys_match_the_orbit_search():
+    rng = random.Random(41)
+    for group in keyed_groups(rng):
+        assert _canonical_key(group) is not None, group
+        for source in (FIB, TM):
+            fs = factors(source, group.degree)
+            assert orbit_classes(fs, group).blocks == _orbit_search(fs, group)
+
+
+def test_groups_without_a_key_take_the_orbit_search():
+    two_cycles = PermGroup((parse_cycles("(1,2,3)(4,5,6)"),))
+    assert _canonical_key(two_cycles) is None
+    for source in (FIB, TM):
+        fs = factors(source, 6)
+        assert orbit_classes(fs, two_cycles).blocks == _orbit_search(fs, two_cycles)
+    for source, n, classes, parikh in ((FIB, 4, 3, 2), (TM, 8, 4, 3)):
+        group = trap_group(n)
+        assert _canonical_key(group) is None
+        fs = factors(source, n)
+        assert len(fs.parikh_classes()) == parikh
+        assert orbit_classes(fs, group).class_count == classes
+
+
+def test_least_rotation_against_all_rotations():
+    rng = random.Random(47)
+    for _ in range(300):
+        letters = "012"[:rng.randint(1, 3)]
+        r = "".join(rng.choice(letters) for _ in range(rng.randint(1, 12)))
+        assert _least_rotation(r) == min(r[i:] + r[:i] for i in range(len(r)))
+
+
+def test_keyed_families_never_search(monkeypatch):
+    def refuse(fs, group):
+        raise AssertionError(f"orbit search reached for {group}")
+    monkeypatch.setattr(complexity, "_orbit_search", refuse)
+    rng = random.Random(43)
+    for group in keyed_groups(rng):
+        orbit_classes(factors(TM, group.degree), group)
+    for sizes in ((3, 2), (5, 1, 1), (2, 3, 4, 1)):
+        n = sum(sizes)
+        report = build_isomorphic_witness(FIB, n, normalize_spec(sizes))
+        assert report.passed
 
 
 # --- p values -----------------------------------------------------------------------
