@@ -22,9 +22,8 @@ from .perm import (AbelianSpec, GroupSizeError, PermGroup, Permutation,
 from .words import (APERIODIC_NO, APERIODIC_UNKNOWN, APERIODIC_YES,
                     BalanceReport, ExplicitWord, FactorSet, InternalCheckError,
                     PeriodicWord, StabilizationError, SturmianWord,
-                    SubstitutionWord, WordSource, abelian_equiv,
-                    bispecial_ladder, factors, fibonacci, is_balanced,
-                    is_rich_in, parikh, parse_word_spec, restrict, reverse,
+                    SubstitutionWord, WordSource, bispecial_ladder, factors,
+                    fibonacci, is_balanced, parse_word_spec, restrict,
                     special_factors, substitution, thue_morse)
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ arguments and format, timing goes to stderr.  Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -51,6 +52,7 @@ def _factors_payload(fs: FactorSet, word_name: str) -> dict:
         "word": word_name,
         "n": fs.n,
         "source_prefix_length": fs.source_prefix_length,
+        "provenance": fs.provenance,
         "members": list(fs.members),
     }
 
@@ -69,6 +71,7 @@ def _orbits_payload(part: OrbitPartition, word_name: str) -> dict:
         "word": word_name,
         "n": part.factor_set.n,
         "source_prefix_length": part.factor_set.source_prefix_length,
+        "provenance": part.factor_set.provenance,
         "members": list(part.factor_set.members),
         "generators": [g.cycle_string() for g in part.group.generators],
         "classes": [list(cls) for cls in part.blocks],
@@ -225,7 +228,9 @@ def _run_fine_wilf(args):
 # argument parsing and dispatch
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "structured"),
                         default="text", help="output format (default: text)")
@@ -320,8 +325,7 @@ def _emit(payload: dict, text: list[str], csv_lines: list[str],
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     echo = " ".join(argv)
     started = time.perf_counter()
     try:
@@ -368,7 +372,8 @@ def parse_structured(text: str) -> FactorSet | OrbitPartition | WitnessReport:
             classes=tuple(tuple(cls) for cls in data["classes"]),
             passed=data["passed"],
         )
-    fs = FactorSet(n, tuple(data["members"]), data["source_prefix_length"])
+    fs = FactorSet(n, tuple(data["members"]), data["source_prefix_length"],
+                   data["provenance"])
     if kind == "factors":
         return fs
     group = PermGroup(tuple(parse_cycles(s, n) for s in data["generators"]), n)

@@ -413,11 +413,8 @@ class AbelianSpec:
     def trace(self) -> int:
         return sum(self.moduli)
 
-    def sorted_moduli(self) -> tuple[int, ...]:
-        return tuple(sorted(self.moduli))
-
     def isomorphic_to(self, other: "AbelianSpec") -> bool:
-        drop = lambda spec: tuple(m for m in spec.sorted_moduli() if m > 1)
+        drop = lambda spec: tuple(m for m in sorted(spec.moduli) if m > 1)
         return drop(self) == drop(other)
 
     def padded(self, n: int) -> "AbelianSpec":

@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-#: Hard ceiling on the prefix length used while stabilizing a factor set.
+#: Hard ceiling on the letters any factor set is read from.
 PREFIX_CAP = 1 << 22
 
 APERIODIC_YES = "yes-by-theory"
@@ -23,7 +23,7 @@ APERIODIC_UNKNOWN = "unknown"
 
 
 class StabilizationError(RuntimeError):
-    """Factor enumeration did not stabilize below the prefix cap."""
+    """Factor enumeration needed more letters than the prefix cap."""
 
 
 class InternalCheckError(RuntimeError):
@@ -239,21 +239,9 @@ def parse_word_spec(text: str) -> WordSource:
 # finite-word utilities
 
 
-def parikh(word: str) -> Counter:
-    """Letter-occurrence counts of ``word``."""
-    return Counter(word)
-
-
 def parikh_key(word: str) -> tuple[tuple[str, int], ...]:
     """Hashable canonical form of the Parikh vector."""
     return tuple(sorted(Counter(word).items()))
-
-
-def abelian_equiv(u: str, v: str) -> bool:
-    """True iff ``u`` and ``v`` have equal Parikh vectors."""
-    if len(u) != len(v):
-        raise ValueError("abelian equivalence is only defined for equal lengths")
-    return Counter(u) == Counter(v)
 
 
 def restrict(word: str, positions: Iterable[int]) -> str:
@@ -262,10 +250,6 @@ def restrict(word: str, positions: Iterable[int]) -> str:
     if pts and (pts[0] < 1 or pts[-1] > len(word)):
         raise ValueError(f"positions must lie in 1..{len(word)}")
     return "".join(word[i - 1] for i in pts)
-
-
-def reverse(word: str) -> str:
-    return word[::-1]
 
 
 def parikh_classes(members: Iterable[str]) -> tuple[tuple[str, ...], ...]:
@@ -282,17 +266,27 @@ def parikh_classes(members: Iterable[str]) -> tuple[tuple[str, ...], ...]:
 
 @dataclass(frozen=True)
 class FactorSet:
-    """The length-``n`` factors of a word source, lexicographically sorted."""
+    """The length-``n`` factors of a word source, lexicographically sorted.
+
+    ``source_prefix_length`` counts the letters the factors were read from.
+    ``provenance`` says how far the set is known to be complete:
+    ``certified`` (theory says those letters hold every factor),
+    ``stabilized`` (a doubling prefix stopped adding factors) or
+    ``explicit-prefix`` (the factors of the given letters only).
+    """
 
     n: int
     members: tuple[str, ...]
     source_prefix_length: int
+    provenance: str
 
     def __post_init__(self) -> None:
         if any(len(w) != self.n for w in self.members):
             raise ValueError("all members must have the declared length")
         if list(self.members) != sorted(set(self.members)):
             raise ValueError("members must be distinct and sorted")
+        if self.provenance not in ("certified", "stabilized", "explicit-prefix"):
+            raise ValueError(f"unknown provenance {self.provenance!r}")
 
     def __iter__(self):
         return iter(self.members)
@@ -319,40 +313,111 @@ def _windows(text: str, n: int) -> set[str]:
     return {text[i:i + n] for i in range(len(text) - n + 1)}
 
 
-@lru_cache(maxsize=None)
-def factors(source: WordSource, n: int) -> FactorSet:
-    """Every length-``n`` factor occurring in the infinite word.
+def _cap_error(source: WordSource, n: int) -> StabilizationError:
+    return StabilizationError(f"factors of length {n} of {source.name} need more "
+                              f"than the prefix cap of {PREFIX_CAP} letters")
 
-    Factors are read off a finite prefix, doubling its length until the
-    factor set computed from length L equals the one from length 2L.  For
-    sturmian-kind sources the count is additionally checked against the
-    exact value n + 1.  Explicit sources use their whole given prefix; for
-    them the result is a lower approximation by construction.
+
+def _sturmian_windows(source: SturmianWord, n: int) -> tuple[set[str], int]:
+    """Windows of a doubling prefix, up to the n + 1 a Sturmian word has."""
+    length, start, found = min(2 * n, PREFIX_CAP), 0, set()
+    while True:
+        text = source.prefix(length)
+        found.update(text[i:i + n] for i in range(start, length - n + 1))
+        if len(found) > n:
+            break
+        if length == PREFIX_CAP:
+            raise _cap_error(source, n)
+        start, length = length - n + 1, min(2 * length, PREFIX_CAP)
+    if len(found) != n + 1:
+        raise InternalCheckError(
+            f"sturmian source {source.name} yielded {len(found)} factors "
+            f"of length {n}, expected {n + 1}")
+    return found, length
+
+
+def _substitution_blocks(source: SubstitutionWord, n: int) -> list[str] | None:
+    """The words σ^k(a)σ^k(b) over the 2-letter factors ab of the fixed point.
+
+    With k least such that every letter's image is at least n - 1 long, a
+    window of length n meets at most two blocks σ^k(c) of u = σ^k(u), so
+    these words hold every length-n factor.  None when some letter's image
+    stays shorter than n - 1 for ever.
     """
-    if n < 1:
-        raise ValueError("factor length must be at least 1")
-    if source.kind == "explicit":
-        word = source.bits
-        if n > len(word):
-            raise ValueError("explicit prefix is shorter than the requested factor length")
-        return FactorSet(n, tuple(sorted(_windows(word, n))), len(word))
+    table = dict(source.rules)
+    # A 2-letter factor of u = σ(u) other than u[0:2] lies in σ(ab) for a
+    # 2-letter factor ab that occurs earlier; u[0:2] lies in σ(seed).
+    pairs, todo = set(), [table[source.seed]]
+    while todo:
+        text = todo.pop()
+        for i in range(len(text) - 1):
+            if text[i:i + 2] not in pairs:
+                pairs.add(text[i:i + 2])
+                todo.append(table[text[i]] + table[text[i + 1]])
+    letters = {c for pair in pairs for c in pair}
+    # Image lengths never shrink, and from step |A| on an unbounded image
+    # grows at least once in every |A| steps; so a least length that held
+    # over |A| steps, from step 2|A| on, is a bounded letter's.
+    lengths, lows = dict.fromkeys(letters, 1), []
+    while (low := min(lengths.values())) < n - 1:
+        lows.append(low)
+        if len(lows) > 2 * len(letters) and lows[-1 - len(letters)] == low:
+            return None
+        lengths = {c: sum(map(lengths.__getitem__, table[c])) for c in letters}
+    if sum(lengths[a] + lengths[b] for a, b in pairs) > PREFIX_CAP:
+        raise _cap_error(source, n)
+    images = {c: c for c in letters}
+    for _ in range(len(lows)):
+        images = {c: "".join(map(images.__getitem__, table[c])) for c in letters}
+    return [images[a] + images[b] for a, b in pairs]
+
+
+def _stabilized_windows(source: WordSource, n: int) -> tuple[set[str], int]:
+    """Windows of a prefix, doubled until length L and 2L give the same set."""
     length = max(4096, 64 * n)
     while True:
         if 2 * length > PREFIX_CAP:
-            raise StabilizationError(
-                f"factors of length {n} of {source.name} did not stabilize "
-                f"below the prefix cap {PREFIX_CAP}")
+            raise _cap_error(source, n)
         small = _windows(source.prefix(length), n)
         large = _windows(source.prefix(2 * length), n)
         if small == large:
-            break
+            return large, 2 * length
         length *= 2
-    members = tuple(sorted(large))
-    if source.kind == "sturmian" and len(members) != n + 1:
-        raise InternalCheckError(
-            f"sturmian source {source.name} yielded {len(members)} factors "
-            f"of length {n}, expected {n + 1}")
-    return FactorSet(n, members, 2 * length)
+
+
+def factors(source: WordSource, n: int) -> FactorSet:
+    """Every length-``n`` factor occurring in the infinite word.
+
+    Where theory says which letters suffice, the set is read off them and
+    certified: a Sturmian word has exactly n + 1 factors (Morse-Hedlund), a
+    periodic word's are the windows of n // p + 2 periods, and a
+    substitution whose letter images all grow past n - 1 has the windows of
+    σ^k(ab) (see :func:`_substitution_blocks`).  Other substitutions fall
+    back to a doubling prefix, and explicit sources use their whole prefix,
+    a lower approximation by construction.  Every path reads at most
+    ``PREFIX_CAP`` letters, else :class:`StabilizationError`.
+    """
+    if n < 1:
+        raise ValueError("factor length must be at least 1")
+    provenance = "certified"
+    if source.kind == "explicit":
+        if n > len(source.bits):
+            raise ValueError("explicit prefix is shorter than the requested factor length")
+        found, read, provenance = _windows(source.bits, n), len(source.bits), "explicit-prefix"
+    elif source.kind == "sturmian":
+        found, read = _sturmian_windows(source, n)
+    elif source.kind == "periodic":
+        reps = n // len(source.pattern) + 2
+        read = reps * len(source.pattern)
+        if read > PREFIX_CAP:
+            raise _cap_error(source, n)
+        found = _windows(source.pattern * reps, n)
+    elif (blocks := _substitution_blocks(source, n)) is not None:
+        found = set().union(*(_windows(block, n) for block in blocks))
+        read = sum(map(len, blocks))
+    else:
+        (found, read), provenance = _stabilized_windows(source, n), "stabilized"
+    return FactorSet(n, tuple(sorted(found)), read, provenance)
 
 
 class BalanceReport(NamedTuple):
@@ -417,10 +482,3 @@ def bispecial_ladder(source: WordSource, up_to: int) -> tuple[str, ...]:
             out.append(word[:length])
         prev, cur = cur, cur * digit + prev
 
-
-def is_rich_in(word: str, letter: str, fs: FactorSet) -> bool:
-    """True iff ``word`` maximizes the count of ``letter`` over ``fs``."""
-    if word not in fs:
-        raise ValueError(f"{word!r} is not a member of the factor set")
-    best = max(w.count(letter) for w in fs.members)
-    return word.count(letter) == best

@@ -12,7 +12,7 @@ from wordorbits.cli import main, parse_structured
 from wordorbits.complexity import orbit_classes
 from wordorbits.construct import build_isomorphic_witness
 from wordorbits.perm import PermGroup, normalize_spec, parse_cycles
-from wordorbits.words import factors, fibonacci
+from wordorbits.words import factors, fibonacci, parse_word_spec
 
 
 def run_cli(capsys, *argv):
@@ -242,6 +242,20 @@ def test_factors_round_trip(capsys):
     _, out = run_cli(capsys, "factors", "--word", "fib", "--n", "4",
                      "--format", "structured")
     assert parse_structured(out) == factors(fibonacci(), 4)
+
+
+@pytest.mark.parametrize("word, provenance", [
+    ("tm", "certified"), ("subst:0=01,1=1;seed=0", "stabilized"),
+    ("prefix:0110100110", "explicit-prefix")])
+def test_provenance_round_trips(capsys, word, provenance):
+    for verb in (("factors",), ("orbits", "--group", "cyc")):
+        _, out = run_cli(capsys, *verb, "--word", word, "--n", "3",
+                         "--format", "structured")
+        assert json.loads(out)["provenance"] == provenance
+        fs = parse_structured(out)
+        fs = getattr(fs, "factor_set", fs)
+        assert fs == factors(parse_word_spec(word), 3)
+        assert fs.provenance == provenance
 
 
 def test_orbits_round_trip(capsys):

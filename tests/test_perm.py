@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import given, strategies as st
 from wordorbits.perm import (AbelianSpec, GroupSizeError, PermGroup,
                              Permutation, abc_permutation, normalize_spec,
                              parse_cycles, parse_group_spec)
-from wordorbits.words import parikh
 
 
 @st.composite
@@ -98,7 +98,7 @@ def test_act_length_mismatch():
 @given(perm_and_word())
 def test_act_preserves_parikh(data):
     g, word = data
-    assert parikh(g.act(word)) == parikh(word)
+    assert Counter(g.act(word)) == Counter(word)
 
 
 @given(two_perms_and_word())

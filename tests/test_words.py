@@ -1,14 +1,15 @@
 """Word sources, factor sets and the combinatorial word utilities."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from wordorbits import words
 from wordorbits.words import (ExplicitWord, PeriodicWord, StabilizationError,
-                              SturmianWord, SubstitutionWord, abelian_equiv,
-                              bispecial_ladder, factors, fibonacci,
-                              is_balanced, is_rich_in, parikh, parikh_classes,
-                              parse_word_spec, restrict, reverse,
+                              SturmianWord, SubstitutionWord, bispecial_ladder,
+                              factors, fibonacci, is_balanced, parikh_classes,
+                              parikh_key, parse_word_spec, restrict,
                               special_factors, substitution, thue_morse)
 
 FIB = fibonacci()
@@ -99,7 +100,58 @@ def test_sturmian_reversal_closure():
 def test_stabilization_cap_is_an_error(monkeypatch):
     monkeypatch.setattr(words, "PREFIX_CAP", 64)
     with pytest.raises(StabilizationError):
-        factors(SturmianWord((1,), label="capped"), 12)
+        factors(parse_word_spec("subst:0=01,1=1;seed=0"), 12)
+
+
+def test_sturmian_prefix_is_capped(monkeypatch):
+    # 0^1000 1 0^1000 1 ...: the factor 100 first ends at letter 1003
+    source = SturmianWord((1000,))
+    assert factors(source, 3).members == ("000", "001", "010", "100")
+    monkeypatch.setattr(words, "PREFIX_CAP", 64)
+    with pytest.raises(StabilizationError):
+        factors(source, 3)
+    assert factors(FIB, 21).source_prefix_length == 64  # 42 letters, then the cap
+    assert len(factors(FIB, 21)) == 22
+
+
+def test_certified_paths_are_capped(monkeypatch):
+    monkeypatch.setattr(words, "PREFIX_CAP", 64)
+    for source, n in ((TM, 40), (PeriodicWord("01"), 63)):
+        with pytest.raises(StabilizationError):
+            factors(source, n)
+    assert factors(PeriodicWord("01"), 60).provenance == "certified"
+
+
+def test_provenance():
+    assert factors(FIB, 9).provenance == "certified"
+    assert factors(TM, 9).provenance == "certified"
+    assert factors(PeriodicWord("001"), 9).provenance == "certified"
+    assert factors(parse_word_spec("subst:0=01,1=1;seed=0"), 9).provenance == "stabilized"
+    assert factors(ExplicitWord("0110"), 2).provenance == "explicit-prefix"
+    with pytest.raises(ValueError):
+        words.FactorSet(1, ("0",), 1, "guessed")
+
+
+@pytest.mark.parametrize("spec", ["subst:0=01,1=1;seed=0", "subst:a=ab,b=c,c=b;seed=a"])
+def test_bounded_letters_take_the_fallback(spec):
+    # 1, resp. b and c, keep images of length 1, so no iterate certifies n >= 3
+    source = parse_word_spec(spec)
+    for n in (3, 4, 10):
+        assert factors(source, n).provenance == "stabilized"
+    for n in (1, 2):
+        assert factors(source, n).provenance == "certified"
+    assert words._substitution_blocks(source, 3) is None
+
+
+def test_thue_morse_factors_against_popcount_windows():
+    # t(i) = popcount(i) mod 2; with 2^k >= n every factor lies in a prefix
+    # of length 2^(k+4)
+    n = 1000
+    text = "".join("01"[bin(i).count("1") & 1] for i in range(1 << 14))
+    windows = {text[i:i + n] for i in range(len(text) - n + 1)}
+    fs = factors(TM, n)
+    assert fs.members == tuple(sorted(windows))
+    assert fs.provenance == "certified"
 
 
 def test_explicit_source_uses_whole_prefix():
@@ -113,17 +165,16 @@ def test_explicit_source_uses_whole_prefix():
 # --- small word utilities ----------------------------------------------------
 
 def test_parikh():
-    assert parikh("0010") == {"0": 3, "1": 1}
-    assert parikh("") == {}
-    assert parikh("100101") == {"0": 3, "1": 3}
+    assert parikh_key("0010") == (("0", 3), ("1", 1))
+    assert parikh_key("") == ()
+    assert parikh_key("100101") == (("0", 3), ("1", 3))
 
 
 def test_abelian_equiv():
-    assert abelian_equiv("0101", "1001")
-    assert not abelian_equiv("0010", "0101")
-    assert abelian_equiv("0110", "0110")
-    with pytest.raises(ValueError):
-        abelian_equiv("01", "011")
+    assert parikh_key("0101") == parikh_key("1001")
+    assert parikh_key("0010") != parikh_key("0101")
+    assert parikh_key("0110") == parikh_key("0110")
+    assert parikh_key("01") != parikh_key("011")
 
 
 def test_restrict():
@@ -137,15 +188,16 @@ def test_restrict():
 
 
 def test_reverse():
-    assert reverse("0010") == "0100"
-    assert reverse("010") == "010"
-    assert reverse("") == ""
+    assert "0010"[::-1] == "0100"
+    assert "010"[::-1] == "010"
+    assert ""[::-1] == ""
 
 
 @given(st.text(alphabet="01", max_size=30))
 def test_reverse_involution_and_parikh(word):
-    assert reverse(reverse(word)) == word
-    assert parikh(reverse(word)) == parikh(word)
+    assert word[::-1][::-1] == word
+    assert Counter(word[::-1]) == Counter(word)
+    assert parikh_key(word[::-1]) == parikh_key(word)
 
 
 def test_parikh_classes_ordering():
@@ -207,11 +259,11 @@ def test_ladder_entries_are_palindromes():
 
 def test_is_rich_in():
     fs = factors(FIB, 4)
-    assert is_rich_in("0101", "1", fs)
-    assert is_rich_in("0010", "0", fs)
-    assert not is_rich_in("0010", "1", fs)
-    with pytest.raises(ValueError):
-        is_rich_in("1111", "1", fs)
+    best = lambda letter: max(w.count(letter) for w in fs)
+    assert "0101" in fs and "0101".count("1") == best("1")
+    assert "0010" in fs and "0010".count("0") == best("0")
+    assert "0010".count("1") < best("1")
+    assert "1111" not in fs
 
 
 # --- the word-spec grammar ------------------------------------------------------
