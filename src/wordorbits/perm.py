@@ -332,8 +332,11 @@ def parse_group_spec(text: str, degree: int) -> PermGroup:
             parts = line.split(None, 1)
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'n cycle-notation'")
-            n = int(parts[0])
-            table[n] = tuple(parse_cycles(tok, n) for tok in parts[1].split(";"))
+            try:
+                n = int(parts[0])
+                table[n] = tuple(parse_cycles(tok, n) for tok in parts[1].split(";"))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         if degree not in table:
             raise ValueError(f"group file {path} has no entry for n={degree}")
         return PermGroup(table[degree])

@@ -66,9 +66,11 @@ class SturmianWord:
             raise ValueError("prefix length must be at least 1")
         prev, cur = "1", "0"
         digits = itertools.chain(self.directive, itertools.repeat(self.directive[-1]))
-        while len(cur) < length:
-            prev, cur = cur, cur * next(digits) + prev
-        return cur[:length]
+        for digit in digits:
+            if len(cur) * digit >= length:
+                # s[k] starts with cur * digit; copies past length are never read
+                return (cur * -(-length // len(cur)))[:length]
+            prev, cur = cur, cur * digit + prev
 
 
 @dataclass(frozen=True)
@@ -270,8 +272,7 @@ class FactorSet:
 
     ``source_prefix_length`` counts the letters the factors were read from.
     ``provenance`` says how far the set is known to be complete:
-    ``certified`` (theory says those letters hold every factor),
-    ``stabilized`` (a doubling prefix stopped adding factors) or
+    ``certified`` (theory says those letters hold every factor) or
     ``explicit-prefix`` (the factors of the given letters only).
     """
 
@@ -285,7 +286,7 @@ class FactorSet:
             raise ValueError("all members must have the declared length")
         if list(self.members) != sorted(set(self.members)):
             raise ValueError("members must be distinct and sorted")
-        if self.provenance not in ("certified", "stabilized", "explicit-prefix"):
+        if self.provenance not in ("certified", "explicit-prefix"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
     def __iter__(self):
@@ -336,65 +337,65 @@ def _sturmian_windows(source: SturmianWord, n: int) -> tuple[set[str], int]:
     return found, length
 
 
-def _substitution_blocks(source: SubstitutionWord, n: int) -> list[str] | None:
-    """The words σ^k(a)σ^k(b) over the 2-letter factors ab of the fixed point.
+def _substitution_windows(source: SubstitutionWord, n: int) -> tuple[set[str], int]:
+    """Every length-n factor of the fixed point u, closed under desubstitution.
 
-    With k least such that every letter's image is at least n - 1 long, a
-    window of length n meets at most two blocks σ^k(c) of u = σ^k(u), so
-    these words hold every length-n factor.  None when some letter's image
-    stays shorter than n - 1 for ever.
+    Let τ = σ^k with k >= 1, so u = τ(u).  A factor first occurring at p > 0
+    starts inside a block τ(u[i]) with i < p, so it is a window of τ(w) that
+    starts inside τ(w[0]), where the factor w = u[i:i+n] occurs earlier; by
+    induction, closing {u[:n]} under such windows gives every factor
+    (Queffélec, Substitution Dynamical Systems, ch. 5).  These windows lie in
+    τ(w[:m]): m = 2 with k least such that every image is at least n - 1
+    long, and m = n with k = 1 when some image stays shorter for ever.  Each
+    substituted prefix v reads |τ(v[0])| + n - 1 letters.
     """
     table = dict(source.rules)
-    # A 2-letter factor of u = σ(u) other than u[0:2] lies in σ(ab) for a
-    # 2-letter factor ab that occurs earlier; u[0:2] lies in σ(seed).
-    pairs, todo = set(), [table[source.seed]]
+    letters, todo = set(), [source.seed]
     while todo:
-        text = todo.pop()
-        for i in range(len(text) - 1):
-            if text[i:i + 2] not in pairs:
-                pairs.add(text[i:i + 2])
-                todo.append(table[text[i]] + table[text[i + 1]])
-    letters = {c for pair in pairs for c in pair}
+        if (c := todo.pop()) not in letters:
+            letters.add(c)
+            todo.extend(table[c])
+    images = table  # the images of τ = σ, until k is known
     # Image lengths never shrink, and from step |A| on an unbounded image
     # grows at least once in every |A| steps; so a least length that held
     # over |A| steps, from step 2|A| on, is a bounded letter's.
-    lengths, lows = dict.fromkeys(letters, 1), []
+    lengths, lows = {c: len(table[c]) for c in letters}, []
     while (low := min(lengths.values())) < n - 1:
         lows.append(low)
         if len(lows) > 2 * len(letters) and lows[-1 - len(letters)] == low:
-            return None
+            m = n
+            break
         lengths = {c: sum(map(lengths.__getitem__, table[c])) for c in letters}
-    if sum(lengths[a] + lengths[b] for a, b in pairs) > PREFIX_CAP:
-        raise _cap_error(source, n)
-    images = {c: c for c in letters}
-    for _ in range(len(lows)):
-        images = {c: "".join(map(images.__getitem__, table[c])) for c in letters}
-    return [images[a] + images[b] for a, b in pairs]
-
-
-def _stabilized_windows(source: WordSource, n: int) -> tuple[set[str], int]:
-    """Windows of a prefix, doubled until length L and 2L give the same set."""
-    length = max(4096, 64 * n)
-    while True:
-        if 2 * length > PREFIX_CAP:
+    else:
+        m = min(2, n)
+        # Every letter heads some substituted prefix, so this many are read.
+        if sum(lengths.values()) > PREFIX_CAP:
             raise _cap_error(source, n)
-        small = _windows(source.prefix(length), n)
-        large = _windows(source.prefix(2 * length), n)
-        if small == large:
-            return large, 2 * length
-        length *= 2
+        for _ in lows:
+            images = {c: "".join(map(images.__getitem__, table[c])) for c in letters}
+    # Close the prefixes v = w[:m] first, so the cap holds before the
+    # windows, |τ(v[0])| of length n per prefix, are built.
+    texts, todo, read = {}, [source.prefix(m)], 0
+    while todo:
+        if (v := todo.pop()) in texts:
+            continue
+        texts[v] = text = images[v[0]] + "".join(map(images.__getitem__, v[1:]))[:n - 1]
+        read += len(text)
+        if read > PREFIX_CAP:
+            raise _cap_error(source, n)
+        todo.extend({text[i:i + m] for i in range(len(images[v[0]]))})
+    return set().union(*(_windows(text, n) for text in texts.values())), read
 
 
 def factors(source: WordSource, n: int) -> FactorSet:
     """Every length-``n`` factor occurring in the infinite word.
 
-    Where theory says which letters suffice, the set is read off them and
-    certified: a Sturmian word has exactly n + 1 factors (Morse-Hedlund), a
-    periodic word's are the windows of n // p + 2 periods, and a
-    substitution whose letter images all grow past n - 1 has the windows of
-    σ^k(ab) (see :func:`_substitution_blocks`).  Other substitutions fall
-    back to a doubling prefix, and explicit sources use their whole prefix,
-    a lower approximation by construction.  Every path reads at most
+    Every infinite source is read off what theory says suffices, and the set
+    is certified: a Sturmian word has exactly n + 1 factors (Morse-Hedlund),
+    a periodic word's are the windows of n // p + 2 periods, and a
+    substitution's are closed under desubstitution from its first n letters
+    (see :func:`_substitution_windows`).  Explicit sources use their whole
+    prefix, a lower approximation by construction.  Every path reads at most
     ``PREFIX_CAP`` letters, else :class:`StabilizationError`.
     """
     if n < 1:
@@ -412,11 +413,8 @@ def factors(source: WordSource, n: int) -> FactorSet:
         if read > PREFIX_CAP:
             raise _cap_error(source, n)
         found = _windows(source.pattern * reps, n)
-    elif (blocks := _substitution_blocks(source, n)) is not None:
-        found = set().union(*(_windows(block, n) for block in blocks))
-        read = sum(map(len, blocks))
     else:
-        (found, read), provenance = _stabilized_windows(source, n), "stabilized"
+        found, read = _substitution_windows(source, n)
     return FactorSet(n, tuple(sorted(found)), read, provenance)
 
 

@@ -187,6 +187,19 @@ def test_group_file_rule(tmp_path, capsys):
                  "--groups", f"file:{path}", "--n", "4..6"]) == 2
 
 
+@pytest.mark.parametrize("line, message", [
+    ("x (1,2)", "invalid literal for int() with base 10: 'x'"),
+    ("4 (1,9)", "point 9 exceeds degree 4"),
+])
+def test_group_file_errors_name_the_line(tmp_path, capsys, line, message):
+    path = tmp_path / "groups.txt"
+    path.write_text(f"# degree  generators\n5 (1,3,5,2,4)\n{line}\n")
+    assert main(["epsilon", "--group", f"file:{path}", "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:3: {message}\n"
+
+
 def test_group_grammar_is_shared_by_every_verb(tmp_path, capsys):
     path = tmp_path / "groups.txt"
     path.write_text("4 (1,2)\n4 (1,3,2,4)\n")  # the later line wins
@@ -245,7 +258,7 @@ def test_factors_round_trip(capsys):
 
 
 @pytest.mark.parametrize("word, provenance", [
-    ("tm", "certified"), ("subst:0=01,1=1;seed=0", "stabilized"),
+    ("tm", "certified"), ("subst:0=01,1=1;seed=0", "certified"),
     ("prefix:0110100110", "explicit-prefix")])
 def test_provenance_round_trips(capsys, word, provenance):
     for verb in (("factors",), ("orbits", "--group", "cyc")):

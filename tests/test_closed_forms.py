@@ -112,6 +112,9 @@ SUBSTITUTIONS = [
     "subst:0=001,1=0;seed=0",
     "subst:0=0120,1=2,2=1;seed=0",
     "subst:0=01,1=01;seed=0",
+    "subst:0=01,1=1;seed=0",
+    "subst:1=1222,2=2;seed=1",
+    "subst:u=uvvv,v=v;seed=u",
 ]
 
 
@@ -134,6 +137,20 @@ def test_fast_letter_substitution_against_a_long_prefix():
         assert set(factors(source, n).members) == windows(text, n), n
     assert len(doubled_prefix_factors(source, 4)) == 27
     assert len(factors(source, 4)) == 28
+
+
+def test_bounded_letter_substitution_against_a_long_prefix():
+    # u = x a^9000 b a^9000 c a^9000 c ...: the doubling oracle sees only
+    # x a^9000 and settles on 2 factors of length 3 and 4; b and c first
+    # occur past letter 9000
+    source = parse_word_spec("subst:x=x" + "a" * 9000 + "b,a=a,b=c,c=c;seed=x")
+    text = source.prefix(60000)
+    for n, count in ((3, 8), (4, 10)):
+        fs = factors(source, n)
+        assert set(fs.members) == windows(text, n), n
+        assert len(fs) == count
+        assert fs.provenance == "certified"
+        assert len(doubled_prefix_factors(source, n)) == 2
 
 
 @pytest.mark.parametrize("directive", DIRECTIVES[:30])

@@ -1,5 +1,6 @@
 """Word sources, factor sets and the combinatorial word utilities."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -98,9 +99,27 @@ def test_sturmian_reversal_closure():
 
 
 def test_stabilization_cap_is_an_error(monkeypatch):
+    # b keeps an image of length 1, and the factors of length 12 are read
+    # off more than 64 letters
+    source = parse_word_spec("subst:a=abc,b=b,c=ca;seed=a")
+    assert factors(source, 12).source_prefix_length > 64
     monkeypatch.setattr(words, "PREFIX_CAP", 64)
     with pytest.raises(StabilizationError):
-        factors(parse_word_spec("subst:0=01,1=1;seed=0"), 12)
+        factors(source, 12)
+
+
+def test_sturmian_prefix_builds_only_the_letters_asked_for():
+    # s_1 = 0^(10^7) 1: its first letters need no copy of 0 past the sixth
+    source = SturmianWord((10 ** 7,))
+    tracemalloc.start()
+    try:
+        assert source.prefix(6) == "000000"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(StabilizationError):
+        factors(source, 3)
 
 
 def test_sturmian_prefix_is_capped(monkeypatch):
@@ -122,25 +141,39 @@ def test_certified_paths_are_capped(monkeypatch):
     assert factors(PeriodicWord("01"), 60).provenance == "certified"
 
 
+def test_substitution_cap_holds_before_the_images_are_built(monkeypatch):
+    # σ^20 of each Thue-Morse letter is 2^20 letters long
+    monkeypatch.setattr(words, "PREFIX_CAP", 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StabilizationError):
+            factors(TM, 1 << 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_provenance():
     assert factors(FIB, 9).provenance == "certified"
     assert factors(TM, 9).provenance == "certified"
     assert factors(PeriodicWord("001"), 9).provenance == "certified"
-    assert factors(parse_word_spec("subst:0=01,1=1;seed=0"), 9).provenance == "stabilized"
+    assert factors(parse_word_spec("subst:0=01,1=1;seed=0"), 9).provenance == "certified"
     assert factors(ExplicitWord("0110"), 2).provenance == "explicit-prefix"
     with pytest.raises(ValueError):
         words.FactorSet(1, ("0",), 1, "guessed")
 
 
 @pytest.mark.parametrize("spec", ["subst:0=01,1=1;seed=0", "subst:a=ab,b=c,c=b;seed=a"])
-def test_bounded_letters_take_the_fallback(spec):
-    # 1, resp. b and c, keep images of length 1, so no iterate certifies n >= 3
+def test_bounded_letters_are_certified(spec):
+    # 1, resp. b and c, keep images of length 1, so no iterate has every
+    # image n - 1 long for n >= 3; the factors come from σ of whole factors
     source = parse_word_spec(spec)
-    for n in (3, 4, 10):
-        assert factors(source, n).provenance == "stabilized"
-    for n in (1, 2):
-        assert factors(source, n).provenance == "certified"
-    assert words._substitution_blocks(source, 3) is None
+    text = source.prefix(4096)  # 01111..., resp. a(bc)(bc)...
+    for n in (1, 2, 3, 4, 10):
+        fs = factors(source, n)
+        assert fs.provenance == "certified"
+        assert fs.members == tuple(sorted({text[i:i + n] for i in range(4097 - n)}))
 
 
 def test_thue_morse_factors_against_popcount_windows():
