@@ -43,7 +43,9 @@ def _parse_range(text: str) -> range:
 
 
 # ---------------------------------------------------------------------------
-# per-verb handlers; each returns (exit_code, payload, text_lines, csv_lines)
+# per-verb handlers; each returns (exit_code, payload, text_lines, csv_lines);
+# the factor, table and witness handlers build only the lines of the format
+# asked for and leave the other list empty
 
 
 def _factors_payload(fs: FactorSet, word_name: str) -> dict:
@@ -60,8 +62,10 @@ def _factors_payload(fs: FactorSet, word_name: str) -> dict:
 def _run_factors(args):
     source = parse_word_spec(args.word)
     fs = factors(source, args.n)
-    text = [f"n: {fs.n}", f"count: {len(fs)}", *fs.members]
-    csv_lines = ["n,factor"] + [f"{fs.n},{w}" for w in fs.members]
+    text = ([f"n: {fs.n}", f"count: {len(fs)}", *fs.members]
+            if args.format == "text" else [])
+    csv_lines = (["n,factor"] + [f"{fs.n},{w}" for w in fs.members]
+                 if args.format == "csv" else [])
     return 0, _factors_payload(fs, source.name), text, csv_lines
 
 
@@ -127,8 +131,8 @@ def _run_table(args, check: bool):
                                 "tabulated")
     payload = table.to_structured()
     payload["kind"] = "verify-bound" if check else "complexity-table"
-    text = table.to_text().splitlines()
-    csv_lines = table.to_csv().splitlines()
+    text = table.to_text().splitlines() if args.format == "text" else []
+    csv_lines = table.to_csv().splitlines() if args.format == "csv" else []
     if check:
         code = {"pass": 0, "fail": 1}.get(table.verdict, 2)
     else:
@@ -136,7 +140,23 @@ def _run_table(args, check: bool):
     return code, payload, text, csv_lines
 
 
-def _witness_lines(report: WitnessReport) -> tuple[list[str], list[str]]:
+def _witness_lines(report: WitnessReport,
+                   fmt: str) -> tuple[list[str], list[str]]:
+    """Text and csv lines of a witness report; only ``fmt``'s are built."""
+    if fmt == "csv":
+        return [], [
+            "field,value",
+            f"n,{report.degree}",
+            f"input_kind,{report.input_kind}",
+            "input_data," + " ".join(map(str, report.input_data)),
+            "padded," + " ".join(map(str, report.padded_sizes)),
+            "cycles," + " ".join(report.cycle_strings()).replace(",", " "),
+            f"epsilon,{report.epsilon}",
+            f"class_count,{report.class_count}",
+            f"passed,{str(report.passed).lower()}",
+        ]
+    if fmt != "text":
+        return [], []
     blocks = " ".join("{" + ",".join(map(str, b)) + "}"
                       for b in report.partition.blocks)
     text = [
@@ -151,18 +171,7 @@ def _witness_lines(report: WitnessReport) -> tuple[list[str], list[str]]:
     text += [f"class {i}: " + " ".join(cls)
              for i, cls in enumerate(report.classes, start=1)]
     text.append(f"passed: {str(report.passed).lower()}")
-    csv_lines = ["field,value"]
-    csv_lines += [
-        f"n,{report.degree}",
-        f"input_kind,{report.input_kind}",
-        "input_data," + " ".join(map(str, report.input_data)),
-        "padded," + " ".join(map(str, report.padded_sizes)),
-        "cycles," + " ".join(report.cycle_strings()).replace(",", " "),
-        f"epsilon,{report.epsilon}",
-        f"class_count,{report.class_count}",
-        f"passed,{str(report.passed).lower()}",
-    ]
-    return text, csv_lines
+    return text, []
 
 
 def _run_witness(args):
@@ -171,7 +180,7 @@ def _run_witness(args):
     report = build_isomorphic_witness(source, args.n, spec)
     payload = report.to_structured()
     payload["word"] = source.name
-    text, csv_lines = _witness_lines(report)
+    text, csv_lines = _witness_lines(report, args.format)
     return (0 if report.passed else 1), payload, text, csv_lines
 
 
@@ -181,7 +190,7 @@ def _run_conjugate_witness(args):
     report = build_conjugate_witness(source, sigma)
     payload = report.to_structured()
     payload["word"] = source.name
-    text, csv_lines = _witness_lines(report)
+    text, csv_lines = _witness_lines(report, args.format)
     return (0 if report.passed else 1), payload, text, csv_lines
 
 
@@ -315,7 +324,8 @@ def _emit(payload: dict, text: list[str], csv_lines: list[str],
         body = {"format": STRUCTURED_FORMAT, "version": __version__,
                 "command": echo}
         body.update(payload)
-        print(json.dumps(body, sort_keys=True, indent=2))
+        json.dump(body, sys.stdout, sort_keys=True, indent=2)
+        print()
         return
     print(f"# wordorbits {__version__}")
     print(f"# command: {echo}")

@@ -19,7 +19,8 @@ from .perm import AbelianSpec, PermGroup, Permutation, abc_permutation
 from .words import (InternalCheckError, SturmianWord, WordSource,
                     bispecial_ladder, factors, restrict)
 
-#: Largest degree :func:`conjugacy_scan` accepts; it enumerates all of S_n.
+#: Largest degree :func:`conjugacy_scan` accepts; closing the normalizer and
+#: picking the least conjugators take on the order of n! compositions.
 SCAN_DEGREE_CAP = 8
 
 
@@ -342,25 +343,76 @@ class ConjugacyScan:
 def conjugacy_scan(source: WordSource, group: PermGroup) -> ConjugacyScan:
     """Class counts on Fact(n) for every subgroup conjugate to ``group``.
 
-    Enumerates all conjugators in S_n (hence the degree guard), deduplicates
-    conjugate subgroups by their closed element sets, and reports the class
-    count extrema together with a per-subgroup table.
+    The conjugates of G are the orbit of its element set under conjugation
+    in S_n.  A breadth-first search from G, with conjugation by (1,2) and by
+    the n-cycle as its moves, reaches each conjugate H once and records a
+    conjugator rep[H], so that H = rep[H] G rep[H]^-1.  A move m from H that
+    reaches a known H' yields the Schreier generator rep[H']^-1 m rep[H] of
+    the normalizer N of G, and those generate N.  The conjugators of H form
+    the coset rep[H] N; each conjugate is reported with the generators of G
+    conjugated by the lexicographically least of them, the first in
+    ``itertools.permutations`` order.  The search costs (n!/|N|) |G|
+    conjugations, and closing N and picking the least conjugators cost
+    O(n!) compositions, which the degree guard bounds.  Rows are sorted by
+    class count, then descriptor.
     """
     n = group.degree
     if n > SCAN_DEGREE_CAP:
         raise ValueError(f"scan degree {n} exceeds the guard {SCAN_DEGREE_CAP}")
     fs = factors(source, n)
-    base_elements = group.elements()
-    results: dict[frozenset[Permutation], tuple[str, int]] = {}
-    for images in itertools.permutations(range(1, n + 1)):
-        sigma = Permutation(images)
-        inv = sigma.inverse()
-        elements = frozenset(sigma * g * inv for g in base_elements)
-        if elements in results:
-            continue
-        conj = group.conjugate(sigma)
-        count = orbit_classes(fs, conj).class_count
-        results[elements] = (conj.descriptor(), count)
-    rows = tuple(sorted(results.values(), key=lambda item: (item[1], item[0])))
+    # Permutations are bytes of 0-based images: p[i] is the image of point i.
+    as_bytes = lambda g: bytes(i - 1 for i in g.images)
+    compose = lambda p, q: bytes(map(p.__getitem__, q))  # p after q
+    inverse = lambda p: bytes(sorted(range(n), key=p.__getitem__))
+    conjugate = lambda m, m_inv, g: bytes(map(m.__getitem__, map(g.__getitem__, m_inv)))
+
+    ident = bytes(range(n))
+
+    def closure(gens):
+        elements = {ident}
+        frontier = [ident]
+        for x in frontier:  # grows while it is read: a breadth-first queue
+            for g in gens:
+                y = compose(g, x)
+                if y not in elements:
+                    elements.add(y)
+                    frontier.append(y)
+        return elements
+
+    generators = [as_bytes(g) for g in group.generators]
+    moves = [(m, inverse(m))
+             for m in map(as_bytes, PermGroup.symmetric(n).generators)]
+    start = frozenset(closure(generators))
+    rep = {start: ident}
+    todo = [start]
+    schreier = set()
+    for subgroup in todo:
+        for m, m_inv in moves:
+            image = frozenset(conjugate(m, m_inv, h) for h in subgroup)
+            reached = compose(m, rep[subgroup])
+            if image in rep:
+                schreier.add(compose(inverse(rep[image]), reached))
+            else:
+                rep[image] = reached
+                todo.append(image)
+    reps = list(rep.values())
+    del rep, todo
+
+    normalizer = closure(schreier - {ident})
+    if len(normalizer) * len(reps) != math.factorial(n):
+        raise InternalCheckError(
+            f"{len(reps)} conjugates and a normalizer of order {len(normalizer)} "
+            f"do not account for S_{n}")
+    least = [min(compose(sigma, nu) for nu in normalizer) for sigma in reps]
+    del normalizer, reps
+
+    results = []
+    for sigma in least:
+        sigma_inv = inverse(sigma)
+        conj = PermGroup(tuple(
+            Permutation(tuple(x + 1 for x in conjugate(sigma, sigma_inv, g)))
+            for g in generators), n)
+        results.append((conj.descriptor(), orbit_classes(fs, conj).class_count))
+    rows = tuple(sorted(results, key=lambda item: (item[1], item[0])))
     counts = [count for _, count in rows]
     return ConjugacyScan(n, min(counts), max(counts), rows)

@@ -4,19 +4,22 @@ Run with ``pytest tests/test_acceptance.py -v``; a summary block listing every
 criterion is printed at the end of the session (see conftest).
 """
 
+import itertools
 import math
 import random
 import time
 
+import pytest
+
 from wordorbits.cli import main as cli_main
 from wordorbits.complexity import orbit_classes, p_value, verify_complexity_bound
-from wordorbits.construct import (build_conjugate_witness,
+from wordorbits.construct import (ConjugacyScan, build_conjugate_witness,
                                   build_isomorphic_witness, christoffel_array,
                                   conjugacy_scan, sturmian_cycle)
 from wordorbits.perm import (PermGroup, Permutation, abc_permutation,
-                             normalize_spec, parse_cycles)
+                             normalize_spec, parse_cycles, parse_group_spec)
 from wordorbits.words import (SturmianWord, bispecial_ladder, factors,
-                              fibonacci, thue_morse)
+                              fibonacci, parse_word_spec, thue_morse)
 
 ACCEPTANCE_LINES = []
 
@@ -51,6 +54,30 @@ def closure_classes(fs, group):
         blocks.append(cls)
         seen.update(cls)
     return tuple(blocks)
+
+
+def brute_conjugacy_scan(source, group):
+    """Independent oracle: conjugate by every sigma in S_n, in lex order.
+
+    Each distinct conjugate is reported with the generators conjugated by
+    the first sigma that reaches it.
+    """
+    n = group.degree
+    fs = factors(source, n)
+    base_elements = group.elements()
+    results = {}
+    for images in itertools.permutations(range(1, n + 1)):
+        sigma = Permutation(images)
+        inv = sigma.inverse()
+        elements = frozenset(sigma * g * inv for g in base_elements)
+        if elements in results:
+            continue
+        conj = group.conjugate(sigma)
+        count = orbit_classes(fs, conj).class_count
+        results[elements] = (conj.descriptor(), count)
+    rows = tuple(sorted(results.values(), key=lambda item: (item[1], item[0])))
+    counts = [count for _, count in rows]
+    return ConjugacyScan(n, min(counts), max(counts), rows)
 
 
 def test_criterion_1_worked_example_exact():
@@ -232,6 +259,25 @@ def test_criterion_8_counterexample_scan():
     _record(8, ok, time.perf_counter() - started, 60,
             f"minimum over {len(scan.rows)} conjugates is 4; "
             "abelian classes split 5 + 2 as expected")
+
+
+@pytest.mark.parametrize("word, spec, n", [
+    ("fib", "sym", 6),
+    ("fib", "(1,2);(3,4,5)", 8),
+    ("fib", "(1,2)(3,4)", 6),
+    ("fib", "cyc", 7),
+    ("fib", "(1,2,3)(4,5,6);(1,4)(2,6)(3,5)", 7),  # the regular S_3
+    ("fib", "id", 5),
+    ("tm", "(1,2,3)", 5),
+    ("fib", "(1,2,3)(4,5,6)", 7),
+    ("sturmian:2,1,3", "(1,2,3);(1,2)", 5),
+    ("fib", "(1,2)", 2),
+    ("fib", "id", 1),
+])
+def test_conjugacy_scan_matches_brute_force_oracle(word, spec, n):
+    source = parse_word_spec(word)
+    group = parse_group_spec(spec, n)
+    assert conjugacy_scan(source, group) == brute_conjugacy_scan(source, group)
 
 
 def test_criterion_9_conjugate_cycle_types():

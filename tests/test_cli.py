@@ -93,6 +93,20 @@ def test_scan_verb(capsys):
     assert "min-classes: 4" in out
 
 
+@pytest.mark.parametrize("group, classes, row_group", [
+    ("sym", 2, "(1,2);(1,2,3,4,5,6,7,8)"),
+    ("id", 9, "()"),
+])
+def test_scan_verb_at_the_degree_cap(capsys, group, classes, row_group):
+    code, out = run_cli(capsys, "scan-conjugates", "--word", "fib", "--n", "8",
+                        "--group", group)
+    assert code == 0
+    body = [line for line in out.splitlines() if not line.startswith("#")]
+    assert body == ["subgroups: 1", f"min-classes: {classes}",
+                    f"max-classes: {classes}",
+                    f"classes={classes} group={row_group}"]
+
+
 def test_fine_wilf_verb(capsys):
     code, out = run_cli(capsys, "fine-wilf", "--word", "fib", "--m", "4")
     assert code == 0
