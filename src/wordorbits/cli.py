@@ -44,8 +44,8 @@ def _parse_range(text: str) -> range:
 
 # ---------------------------------------------------------------------------
 # per-verb handlers; each returns (exit_code, payload, text_lines, csv_lines);
-# the factor, table and witness handlers build only the lines of the format
-# asked for and leave the other list empty
+# the factors and table handlers, whose lines grow with the input, build only
+# the lines of the format asked for and leave the other list empty
 
 
 def _factors_payload(fs: FactorSet, word_name: str) -> dict:
@@ -140,23 +140,7 @@ def _run_table(args, check: bool):
     return code, payload, text, csv_lines
 
 
-def _witness_lines(report: WitnessReport,
-                   fmt: str) -> tuple[list[str], list[str]]:
-    """Text and csv lines of a witness report; only ``fmt``'s are built."""
-    if fmt == "csv":
-        return [], [
-            "field,value",
-            f"n,{report.degree}",
-            f"input_kind,{report.input_kind}",
-            "input_data," + " ".join(map(str, report.input_data)),
-            "padded," + " ".join(map(str, report.padded_sizes)),
-            "cycles," + " ".join(report.cycle_strings()).replace(",", " "),
-            f"epsilon,{report.epsilon}",
-            f"class_count,{report.class_count}",
-            f"passed,{str(report.passed).lower()}",
-        ]
-    if fmt != "text":
-        return [], []
+def _witness_lines(report: WitnessReport) -> tuple[list[str], list[str]]:
     blocks = " ".join("{" + ",".join(map(str, b)) + "}"
                       for b in report.partition.blocks)
     text = [
@@ -171,7 +155,18 @@ def _witness_lines(report: WitnessReport,
     text += [f"class {i}: " + " ".join(cls)
              for i, cls in enumerate(report.classes, start=1)]
     text.append(f"passed: {str(report.passed).lower()}")
-    return text, []
+    csv_lines = ["field,value"]
+    csv_lines += [
+        f"n,{report.degree}",
+        f"input_kind,{report.input_kind}",
+        "input_data," + " ".join(map(str, report.input_data)),
+        "padded," + " ".join(map(str, report.padded_sizes)),
+        "cycles," + " ".join(report.cycle_strings()).replace(",", " "),
+        f"epsilon,{report.epsilon}",
+        f"class_count,{report.class_count}",
+        f"passed,{str(report.passed).lower()}",
+    ]
+    return text, csv_lines
 
 
 def _run_witness(args):
@@ -180,7 +175,7 @@ def _run_witness(args):
     report = build_isomorphic_witness(source, args.n, spec)
     payload = report.to_structured()
     payload["word"] = source.name
-    text, csv_lines = _witness_lines(report, args.format)
+    text, csv_lines = _witness_lines(report)
     return (0 if report.passed else 1), payload, text, csv_lines
 
 
@@ -190,7 +185,7 @@ def _run_conjugate_witness(args):
     report = build_conjugate_witness(source, sigma)
     payload = report.to_structured()
     payload["word"] = source.name
-    text, csv_lines = _witness_lines(report, args.format)
+    text, csv_lines = _witness_lines(report)
     return (0 if report.passed else 1), payload, text, csv_lines
 
 
