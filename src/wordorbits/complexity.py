@@ -15,9 +15,14 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
-from .perm import GroupSizeError, PermGroup, Permutation
+from .perm import GroupSizeError, PermGroup, Permutation, byte_closure
 from .words import (APERIODIC_YES, FactorSet, InternalCheckError, WordSource,
                     factors, is_balanced, parikh_key, restrict)
+
+#: A component outside the symmetric and one-cycle rules whose group has at
+#: most this many elements keys to its least image over the enumerated
+#: group; a larger one sends the group to the orbit search.
+SMALL_ORDER_BOUND = 120
 
 
 @dataclass(frozen=True)
@@ -41,10 +46,10 @@ class OrbitPartition:
 def orbit_classes(fs: FactorSet, group: PermGroup) -> OrbitPartition:
     """Group the members of ``fs`` into orbits of the word action.
 
-    When :func:`_canonical_key` finds a closed-form key for ``group``, each
-    member gets one key and the members are grouped by it; otherwise the
-    orbits are searched word by word (:func:`_orbit_search`).  Either way an
-    orbit class spanning several Parikh classes is an
+    When :func:`_canonical_key` finds a key for ``group``, each member gets
+    one key and the members are grouped by it; otherwise the orbits are
+    searched word by word (:func:`_orbit_search`).  Either way an orbit
+    class spanning several Parikh classes (``fs.parikh_ids``) is an
     :class:`InternalCheckError`.  Classes are ordered by least member,
     members lexicographically.
     """
@@ -57,9 +62,10 @@ def orbit_classes(fs: FactorSet, group: PermGroup) -> OrbitPartition:
         classes: dict[tuple[str, ...], list[str]] = {}
         for w in fs.members:
             classes.setdefault(key(w), []).append(w)
-        blocks = tuple(map(tuple, classes.values()))
+        blocks = tuple([tuple(cls) for cls in classes.values()])
+    parikh_ids = fs.parikh_ids
     for cls in blocks:
-        if len({parikh_key(w) for w in cls}) != 1:
+        if len({parikh_ids[w] for w in cls}) != 1:
             raise InternalCheckError(
                 "orbit class spans several Parikh classes; the action cannot do that")
     return OrbitPartition(fs, group, blocks)
@@ -77,8 +83,11 @@ def _canonical_key(group: PermGroup) -> Callable[[str], tuple[str, ...]] | None:
     transposition by powers of ``c`` gives every adjacent transposition
     along ``c``, so the restriction keys to its sorted letters.  A component
     moved by a single generator that is one cycle keys to the least rotation
-    of its letters read in cycle order.  Any other component has no key
-    here, and the result is None.
+    of its letters read in cycle order.  Any other component whose group has
+    at most ``SMALL_ORDER_BOUND`` elements keys to its least image: the
+    least of its letters gathered by each element, which runs over the
+    restriction's orbit because the elements include their inverses.  A
+    larger component has no key here, and the result is None.
     """
     components: list[tuple[set[int], list[Permutation]]] = []
     for g in group.generators:
@@ -92,7 +101,7 @@ def _canonical_key(group: PermGroup) -> Callable[[str], tuple[str, ...]] | None:
             gens += comp[1]
         components.append((points, gens))
     moved: set[int] = set()
-    symmetric, rotating = [], []
+    symmetric, rotating, small = [], [], []
     for points, gens in components:
         moved |= points
         k = len(points)
@@ -105,15 +114,43 @@ def _canonical_key(group: PermGroup) -> Callable[[str], tuple[str, ...]] | None:
         elif len(gens) == 1 and full:
             rotating.append(itemgetter(*(p - 1 for p in full[0])))
         else:
-            return None
+            points = sorted(points)
+            gathers = _small_group_gathers(points, gens)
+            if gathers is None:
+                return None
+            small.append((itemgetter(*[p - 1 for p in points]), gathers))
     fixed = [p - 1 for p in range(1, group.degree + 1) if p not in moved]
     rest = itemgetter(*fixed) if fixed else lambda w: ""
 
     def key(w: str) -> tuple[str, ...]:
         return ("".join(rest(w)),
                 *("".join(sorted(get(w))) for get in symmetric),
-                *(_least_rotation("".join(get(w))) for get in rotating))
+                *(_least_rotation("".join(get(w))) for get in rotating),
+                *(_least_image(gathers, "".join(get(w))) for get, gathers in small))
     return key
+
+
+def _small_group_gathers(points: list[int],
+                         gens: list[Permutation]) -> list[itemgetter] | None:
+    """The elements of the group ``gens`` induce on ``points``, as gathers.
+
+    The group is closed on component-local images (item i of an element
+    ``x`` is the index in ``points`` of the image of ``points[i]``), and
+    each ``x`` becomes ``itemgetter(*x)`` on the component's letters read in
+    ``points`` order.  None once the closure passes ``SMALL_ORDER_BOUND``
+    elements, or when the indices do not fit a byte.
+    """
+    if len(points) > 256:
+        return None
+    local = {p: i for i, p in enumerate(points)}
+    moves = [bytes([local[g(p)] for p in points]) for g in gens]
+    elements = byte_closure(moves, len(points), SMALL_ORDER_BOUND)
+    return None if elements is None else [itemgetter(*x) for x in elements]
+
+
+def _least_image(gathers: list[itemgetter], r: str) -> str:
+    """The least of the words the gathers read off ``r``: its orbit's least."""
+    return min(["".join(get(r)) for get in gathers])
 
 
 def _least_rotation(r: str) -> str:

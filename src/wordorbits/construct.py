@@ -15,12 +15,14 @@ import math
 from dataclasses import dataclass
 
 from .complexity import BlockPartition, is_abelian_transitive, orbit_classes
-from .perm import AbelianSpec, PermGroup, Permutation, abc_permutation
+from .perm import (AbelianSpec, PermGroup, Permutation, abc_permutation,
+                   byte_closure)
 from .words import (InternalCheckError, SturmianWord, WordSource,
                     bispecial_ladder, factors, restrict)
 
-#: Largest degree :func:`conjugacy_scan` accepts; closing the normalizer and
-#: picking the least conjugators take on the order of n! compositions.
+#: Largest degree :func:`conjugacy_scan` accepts.  It searches the n!/|N|
+#: conjugates of G and closes their normalizer N, so the search or the
+#: closure is large unless n is small.
 SCAN_DEGREE_CAP = 8
 
 
@@ -340,6 +342,22 @@ class ConjugacyScan:
         }
 
 
+def _least_in_coset(sigma: bytes, group: list[bytes]) -> bytes:
+    """The lexicographically least ``sigma * nu`` over ``nu`` in ``group``.
+
+    Permutations are bytes of 0-based images.  Keep the ``nu`` that minimise
+    ``sigma[nu[0]]``, then among those ``sigma[nu[1]]``, and so on until one
+    is left (distinct permutations differ somewhere); only that one is
+    composed.
+    """
+    i = 0
+    while len(group) > 1:
+        best = min([sigma[nu[i]] for nu in group])
+        group = [nu for nu in group if sigma[nu[i]] == best]
+        i += 1
+    return bytes(map(sigma.__getitem__, group[0]))
+
+
 def conjugacy_scan(source: WordSource, group: PermGroup) -> ConjugacyScan:
     """Class counts on Fact(n) for every subgroup conjugate to ``group``.
 
@@ -351,10 +369,10 @@ def conjugacy_scan(source: WordSource, group: PermGroup) -> ConjugacyScan:
     the normalizer N of G, and those generate N.  The conjugators of H form
     the coset rep[H] N; each conjugate is reported with the generators of G
     conjugated by the lexicographically least of them, the first in
-    ``itertools.permutations`` order.  The search costs (n!/|N|) |G|
-    conjugations, and closing N and picking the least conjugators cost
-    O(n!) compositions, which the degree guard bounds.  Rows are sorted by
-    class count, then descriptor.
+    ``itertools.permutations`` order, which :func:`_least_in_coset` picks
+    by filtering N one position at a time.  The search costs (n!/|N|) |G|
+    conjugations and closing N about |N| compositions, which the degree
+    guard bounds.  Rows are sorted by class count, then descriptor.
     """
     n = group.degree
     if n > SCAN_DEGREE_CAP:
@@ -367,22 +385,10 @@ def conjugacy_scan(source: WordSource, group: PermGroup) -> ConjugacyScan:
     conjugate = lambda m, m_inv, g: bytes(map(m.__getitem__, map(g.__getitem__, m_inv)))
 
     ident = bytes(range(n))
-
-    def closure(gens):
-        elements = {ident}
-        frontier = [ident]
-        for x in frontier:  # grows while it is read: a breadth-first queue
-            for g in gens:
-                y = compose(g, x)
-                if y not in elements:
-                    elements.add(y)
-                    frontier.append(y)
-        return elements
-
     generators = [as_bytes(g) for g in group.generators]
     moves = [(m, inverse(m))
              for m in map(as_bytes, PermGroup.symmetric(n).generators)]
-    start = frozenset(closure(generators))
+    start = frozenset(byte_closure(generators, n))
     rep = {start: ident}
     todo = [start]
     schreier = set()
@@ -398,20 +404,20 @@ def conjugacy_scan(source: WordSource, group: PermGroup) -> ConjugacyScan:
     reps = list(rep.values())
     del rep, todo
 
-    normalizer = closure(schreier - {ident})
+    normalizer = byte_closure(schreier - {ident}, n)
     if len(normalizer) * len(reps) != math.factorial(n):
         raise InternalCheckError(
             f"{len(reps)} conjugates and a normalizer of order {len(normalizer)} "
             f"do not account for S_{n}")
-    least = [min(compose(sigma, nu) for nu in normalizer) for sigma in reps]
+    least = [_least_in_coset(sigma, normalizer) for sigma in reps]
     del normalizer, reps
 
     results = []
     for sigma in least:
         sigma_inv = inverse(sigma)
-        conj = PermGroup(tuple(
-            Permutation(tuple(x + 1 for x in conjugate(sigma, sigma_inv, g)))
-            for g in generators), n)
+        conj = PermGroup([
+            Permutation(tuple([x + 1 for x in conjugate(sigma, sigma_inv, g)]))
+            for g in generators], n)
         results.append((conj.descriptor(), orbit_classes(fs, conj).class_count))
     rows = tuple(sorted(results, key=lambda item: (item[1], item[0])))
     counts = [count for _, count in rows]

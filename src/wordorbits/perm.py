@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 
 class GroupSizeError(RuntimeError):
@@ -46,7 +46,7 @@ class Permutation:
         """Composition g * h with (g * h)(i) = g(h(i))."""
         if self.degree != other.degree:
             raise ValueError("cannot compose permutations of different degrees")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
+        return Permutation(tuple([self.images[j - 1] for j in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
@@ -107,6 +107,29 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()}, n={self.degree})"
+
+
+def byte_closure(gens: Collection[bytes], degree: int,
+                 limit: int | None = None) -> list[bytes] | None:
+    """The group ``gens`` generate, each element as the bytes of its images.
+
+    A permutation of ``range(degree)`` is held as ``bytes`` whose item i is
+    the image of i, so ``degree`` is at most 256.  Elements come in
+    breadth-first order from the identity; the result is None once there
+    would be more than ``limit`` of them.
+    """
+    ident = bytes(range(degree))
+    elements = {ident}
+    ordered = [ident]
+    for x in ordered:  # grows while it is read: a breadth-first queue
+        for g in gens:
+            y = bytes(map(g.__getitem__, x))
+            if y not in elements:
+                if len(elements) == limit:
+                    return None
+                elements.add(y)
+                ordered.append(y)
+    return ordered
 
 
 def parse_cycles(text: str, degree: int | None = None) -> Permutation:

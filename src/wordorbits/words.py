@@ -306,8 +306,18 @@ class FactorSet:
     def alphabet(self) -> tuple[str, ...]:
         return tuple(sorted({c for w in self.members for c in w}))
 
+    @cached_property
+    def parikh_ids(self) -> dict[str, int]:
+        """Each member's Parikh class, numbered by least member; computed once."""
+        numbers: dict[tuple[tuple[str, int], ...], int] = {}
+        return {w: numbers.setdefault(parikh_key(w), len(numbers)) for w in self.members}
+
     def parikh_classes(self) -> tuple[tuple[str, ...], ...]:
-        return parikh_classes(self.members)
+        """Parikh classes of the members, classes ordered by least member."""
+        groups: dict[int, list[str]] = {}
+        for w, i in self.parikh_ids.items():
+            groups.setdefault(i, []).append(w)
+        return tuple([tuple(g) for g in groups.values()])
 
 
 def _windows(text: str, n: int) -> set[str]:

@@ -12,10 +12,10 @@ from wordorbits.complexity import (BlockPartition, _canonical_key,
                                    block_classes, complexity_table,
                                    is_abelian_transitive, orbit_classes,
                                    p_value, verify_complexity_bound)
-from wordorbits.construct import build_isomorphic_witness
+from wordorbits.construct import build_isomorphic_witness, conjugacy_scan
 from wordorbits.perm import (AbelianSpec, GroupSizeError, PermGroup,
-                             Permutation, normalize_spec, parse_cycles,
-                             parse_group_spec)
+                             Permutation, abc_permutation, normalize_spec,
+                             parse_cycles, parse_group_spec)
 from wordorbits.words import (ExplicitWord, PeriodicWord, SturmianWord,
                               factors, fibonacci, thue_morse)
 
@@ -148,17 +148,75 @@ def test_canonical_keys_match_the_orbit_search():
 
 
 def test_groups_without_a_key_take_the_orbit_search():
+    # <(1,2,3)(4,5,6)> and the dihedral trap_group(4) fit neither the
+    # symmetric nor the one-cycle rule but are small enough to enumerate;
+    # trap_group(8) has 2 * 24**2 elements and still takes the search
     two_cycles = PermGroup((parse_cycles("(1,2,3)(4,5,6)"),))
-    assert _canonical_key(two_cycles) is None
+    assert _canonical_key(two_cycles) is not None
     for source in (FIB, TM):
         fs = factors(source, 6)
         assert orbit_classes(fs, two_cycles).blocks == _orbit_search(fs, two_cycles)
-    for source, n, classes, parikh in ((FIB, 4, 3, 2), (TM, 8, 4, 3)):
+    for source, n, classes, parikh, keyed in ((FIB, 4, 3, 2, True), (TM, 8, 4, 3, False)):
         group = trap_group(n)
-        assert _canonical_key(group) is None
+        assert (_canonical_key(group) is not None) == keyed
         fs = factors(source, n)
         assert len(fs.parikh_classes()) == parikh
         assert orbit_classes(fs, group).class_count == classes
+        assert orbit_classes(fs, group).blocks == _orbit_search(fs, group)
+
+
+def dihedral_group(k):
+    rotation = PermGroup.cyclic(k).generators[0]
+    reflection = Permutation(tuple([1] + list(range(k, 1, -1))))
+    return PermGroup((rotation, reflection))
+
+
+def small_order_groups(rng):
+    # groups outside the symmetric and one-cycle rules, most of them small
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        yield PermGroup([random_permutation(rng, n)
+                         for _ in range(rng.randint(1, 3))])
+    for _ in range(10):
+        yield PermGroup((parse_cycles("(1,2,3)(4,5,6)", 7),)).conjugate(
+            random_permutation(rng, 7))
+    for k in range(3, 9):
+        yield dihedral_group(k)
+        yield dihedral_group(k).conjugate(random_permutation(rng, k))
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                if 2 <= a + b + c <= 8 and len(abc_permutation(a, b, c).cycles()) > 1:
+                    yield PermGroup((abc_permutation(a, b, c),))
+    yield trap_group(4)
+    yield trap_group(6)
+
+
+def test_small_order_keys_match_the_orbit_search():
+    rng = random.Random(53)
+    keyed = 0
+    for group in small_order_groups(rng):
+        keyed += _canonical_key(group) is not None
+        for source in (FIB, TM):
+            fs = factors(source, group.degree)
+            assert orbit_classes(fs, group).blocks == _orbit_search(fs, group), group
+    assert keyed >= 80
+
+
+def test_small_order_bound_is_inclusive(monkeypatch):
+    # S_5 from a 5-cycle and a transposition not adjacent along it: order 120
+    s5 = parse_group_spec("(1,2,3,4,5);(1,3)", 5)
+    assert s5.order == complexity.SMALL_ORDER_BOUND == 120
+    assert _canonical_key(s5) is not None
+    # a Sylow 2-subgroup of S_8, order 128, is past the bound
+    sylow = parse_group_spec("(1,2);(1,3)(2,4);(1,5)(2,6)(3,7)(4,8)", 8)
+    assert sylow.order == 128
+    assert _canonical_key(sylow) is None
+    for group in (s5, dihedral_group(5), trap_group(4)):
+        monkeypatch.setattr(complexity, "SMALL_ORDER_BOUND", group.order)
+        assert _canonical_key(group) is not None
+        monkeypatch.setattr(complexity, "SMALL_ORDER_BOUND", group.order - 1)
+        assert _canonical_key(group) is None
 
 
 def test_least_rotation_against_all_rotations():
@@ -180,6 +238,8 @@ def test_keyed_families_never_search(monkeypatch):
         n = sum(sizes)
         report = build_isomorphic_witness(FIB, n, normalize_spec(sizes))
         assert report.passed
+    scan = conjugacy_scan(FIB, PermGroup((parse_cycles("(1,2,3)(4,5,6)", 7),)))
+    assert len(scan.rows) == 140
 
 
 # --- p values -----------------------------------------------------------------------

@@ -6,11 +6,12 @@ import random
 import pytest
 
 from wordorbits.complexity import orbit_classes
-from wordorbits.construct import (build_conjugate_witness,
+from wordorbits.construct import (_least_in_coset, build_conjugate_witness,
                                   build_isomorphic_witness, christoffel_array,
                                   conjugacy_scan, fine_wilf_data,
                                   modular_inverse, sturmian_cycle)
-from wordorbits.perm import PermGroup, Permutation, normalize_spec, parse_cycles
+from wordorbits.perm import (PermGroup, Permutation, byte_closure,
+                             normalize_spec, parse_cycles)
 from wordorbits.words import SturmianWord, bispecial_ladder, factors, fibonacci
 
 FIB = fibonacci()
@@ -276,6 +277,25 @@ def test_scan_counterexample_group():
     assert scan.min_classes == 4
     assert scan.max_classes == 7
     assert len(scan.rows) == 20
+
+
+def test_least_conjugator_by_filtering_the_normalizer():
+    # _least_in_coset against min over the enumerated coset sigma N, on
+    # random subgroups N given as bytes of 0-based images
+    rng = random.Random(61)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        gens = []
+        for _ in range(rng.randint(0, 2)):
+            images = list(range(n))
+            rng.shuffle(images)
+            gens.append(bytes(images))
+        group = byte_closure(gens, n)
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        sigma = bytes(sigma)
+        coset = [bytes(map(sigma.__getitem__, nu)) for nu in group]
+        assert _least_in_coset(sigma, group) == min(coset)
 
 
 def test_scan_degree_guard():

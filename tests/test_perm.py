@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wordorbits.perm import (AbelianSpec, GroupSizeError, PermGroup,
-                             Permutation, abc_permutation, normalize_spec,
-                             parse_cycles, parse_group_spec)
+                             Permutation, abc_permutation, byte_closure,
+                             normalize_spec, parse_cycles, parse_group_spec)
 
 
 @st.composite
@@ -126,6 +126,21 @@ def test_closure_cap(monkeypatch):
     big = PermGroup.symmetric(8)
     with pytest.raises(GroupSizeError):
         big.elements()
+
+
+def test_byte_closure_matches_elements():
+    for spec, n in (("(1,2,3)(4,5)", 5), ("(1,3);(1,2,3,4)", 4), ("id", 3)):
+        group = parse_group_spec(spec, n)
+        gens = [bytes([i - 1 for i in g.images]) for g in group.generators]
+        closed = byte_closure(gens, n)
+        assert closed[0] == bytes(range(n))
+        assert ({tuple([x + 1 for x in y]) for y in closed}
+                == {g.images for g in group.elements()})
+        assert len(closed) == group.order
+        assert byte_closure(gens, n, group.order) == closed
+        if group.order > 1:
+            assert byte_closure(gens, n, group.order - 1) is None
+    assert byte_closure([], 4) == [bytes(range(4))]
 
 
 def test_single_generator_order_matches_element_order():
