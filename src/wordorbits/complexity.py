@@ -89,9 +89,10 @@ def _canonical_key(group: PermGroup) -> Callable[[str], tuple[str, ...]] | None:
     restriction's orbit because the elements include their inverses.  A
     larger component has no key here, and the result is None.
     """
+    cycles_of = {g: g.cycles() for g in group.generators}
     components: list[tuple[set[int], list[Permutation]]] = []
     for g in group.generators:
-        points = {p for cyc in g.cycles() for p in cyc}
+        points = {p for cyc in cycles_of[g] for p in cyc}
         if not points:
             continue
         gens = [g]
@@ -105,7 +106,7 @@ def _canonical_key(group: PermGroup) -> Callable[[str], tuple[str, ...]] | None:
     for points, gens in components:
         moved |= points
         k = len(points)
-        cycles = [g.cycles() for g in gens]
+        cycles = [cycles_of[g] for g in gens]
         full = [cyc[0] for cyc in cycles if len(cyc) == 1 and len(cyc[0]) == k]
         swaps = {frozenset(cyc[0]) for cyc in cycles if len(cyc) == 1 and len(cyc[0]) == 2}
         if any(frozenset(pair) in swaps

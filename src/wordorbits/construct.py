@@ -13,16 +13,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
+from operator import itemgetter
 
-from .complexity import BlockPartition, is_abelian_transitive, orbit_classes
+from .complexity import (BlockPartition, _canonical_key, is_abelian_transitive,
+                         orbit_classes)
 from .perm import (AbelianSpec, PermGroup, Permutation, abc_permutation,
                    byte_closure)
 from .words import (InternalCheckError, SturmianWord, WordSource,
                     bispecial_ladder, factors, restrict)
 
 #: Largest degree :func:`conjugacy_scan` accepts.  It searches the n!/|N|
-#: conjugates of G and closes their normalizer N, so the search or the
-#: closure is large unless n is small.
+#: conjugates of G, relabels Fact(n) once per conjugate and closes their
+#: normalizer N, so the search or the closure is large unless n is small.
 SCAN_DEGREE_CAP = 8
 
 
@@ -361,18 +364,20 @@ def _least_in_coset(sigma: bytes, group: list[bytes]) -> bytes:
 def conjugacy_scan(source: WordSource, group: PermGroup) -> ConjugacyScan:
     """Class counts on Fact(n) for every subgroup conjugate to ``group``.
 
-    The conjugates of G are the orbit of its element set under conjugation
-    in S_n.  A breadth-first search from G, with conjugation by (1,2) and by
-    the n-cycle as its moves, reaches each conjugate H once and records a
-    conjugator rep[H], so that H = rep[H] G rep[H]^-1.  A move m from H that
-    reaches a known H' yields the Schreier generator rep[H']^-1 m rep[H] of
-    the normalizer N of G, and those generate N.  The conjugators of H form
-    the coset rep[H] N; each conjugate is reported with the generators of G
-    conjugated by the lexicographically least of them, the first in
-    ``itertools.permutations`` order, which :func:`_least_in_coset` picks
-    by filtering N one position at a time.  The search costs (n!/|N|) |G|
-    conjugations and closing N about |N| compositions, which the degree
-    guard bounds.  Rows are sorted by class count, then descriptor.
+    The conjugates H = rep[H] G rep[H]^-1 are found breadth-first from G,
+    conjugating by (1,2) and by the n-cycle; a move m from H to a known H'
+    gives the Schreier generator rep[H']^-1 m rep[H] of the normalizer N
+    of G, and N is closed again only when one falls outside it.  H is
+    reported with G's generators conjugated by the least sigma in rep[H] N,
+    first in ``itertools.permutations`` order, which
+    :func:`_least_in_coset` picks by filtering N one position at a time.
+    As sigma^-1 (h w) = g (sigma^-1 w), H's classes on Fact(n) are G's
+    classes of the words sigma^-1 w: G is keyed once and H counts the
+    distinct keys of those words; a group with no key calls
+    :func:`orbit_classes` per conjugate.  The costs are (n!/|N|) |G|
+    conjugations, about |N| compositions per kept generator and
+    (n!/|N|) |Fact(n)| gathers, which the degree guard bounds.  Rows are
+    sorted by class count, then descriptor.
     """
     n = group.degree
     if n > SCAN_DEGREE_CAP:
@@ -391,20 +396,21 @@ def conjugacy_scan(source: WordSource, group: PermGroup) -> ConjugacyScan:
     start = frozenset(byte_closure(generators, n))
     rep = {start: ident}
     todo = [start]
-    schreier = set()
+    kept, normalizer, in_normalizer = [], [ident], {ident}
     for subgroup in todo:
         for m, m_inv in moves:
             image = frozenset(conjugate(m, m_inv, h) for h in subgroup)
             reached = compose(m, rep[subgroup])
-            if image in rep:
-                schreier.add(compose(inverse(rep[image]), reached))
-            else:
+            if image not in rep:
                 rep[image] = reached
                 todo.append(image)
+            elif (nu := compose(inverse(rep[image]), reached)) not in in_normalizer:
+                kept.append(nu)
+                normalizer = byte_closure(kept, n)
+                in_normalizer = set(normalizer)
     reps = list(rep.values())
     del rep, todo
 
-    normalizer = byte_closure(schreier - {ident}, n)
     if len(normalizer) * len(reps) != math.factorial(n):
         raise InternalCheckError(
             f"{len(reps)} conjugates and a normalizer of order {len(normalizer)} "
@@ -412,13 +418,23 @@ def conjugacy_scan(source: WordSource, group: PermGroup) -> ConjugacyScan:
     least = [_least_in_coset(sigma, normalizer) for sigma in reps]
     del normalizer, reps
 
+    key = _canonical_key(group)
+    key = cache(key) if key else None
     results = []
     for sigma in least:
         sigma_inv = inverse(sigma)
         conj = PermGroup([
             Permutation(tuple([x + 1 for x in conjugate(sigma, sigma_inv, g)]))
             for g in generators], n)
-        results.append((conj.descriptor(), orbit_classes(fs, conj).class_count))
+        if key is None:
+            count = orbit_classes(fs, conj).class_count
+        else:
+            relabel = itemgetter(*sigma)
+            pairs = {(key("".join(relabel(w))), fs.parikh_ids[w]) for w in fs.members}
+            count = len({k for k, _ in pairs})
+            if count != len(pairs):
+                raise InternalCheckError("an orbit class spans several Parikh classes")
+        results.append((conj.descriptor(), count))
     rows = tuple(sorted(results, key=lambda item: (item[1], item[0])))
     counts = [count for _, count in rows]
     return ConjugacyScan(n, min(counts), max(counts), rows)

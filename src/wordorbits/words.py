@@ -284,7 +284,7 @@ class FactorSet:
     def __post_init__(self) -> None:
         if any(len(w) != self.n for w in self.members):
             raise ValueError("all members must have the declared length")
-        if list(self.members) != sorted(set(self.members)):
+        if any(a >= b for a, b in zip(self.members, self.members[1:])):
             raise ValueError("members must be distinct and sorted")
         if self.provenance not in ("certified", "explicit-prefix"):
             raise ValueError(f"unknown provenance {self.provenance!r}")

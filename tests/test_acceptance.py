@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from wordorbits import complexity, construct
 from wordorbits.cli import main as cli_main
 from wordorbits.complexity import orbit_classes, p_value, verify_complexity_bound
 from wordorbits.construct import (ConjugacyScan, build_conjugate_witness,
@@ -278,6 +279,21 @@ def test_conjugacy_scan_matches_brute_force_oracle(word, spec, n):
     source = parse_word_spec(word)
     group = parse_group_spec(spec, n)
     assert conjugacy_scan(source, group) == brute_conjugacy_scan(source, group)
+
+
+@pytest.mark.parametrize("spec", ["(1,2,3)(4,5,6)", "(1,2,3)(4,5,6);(1,4)(2,6)(3,5)"])
+def test_conjugacy_scan_without_a_key_matches_brute_force_oracle(monkeypatch, spec):
+    # with the small-order bound at 2 neither group has a key, so the scan
+    # partitions each conjugate's factors with orbit_classes instead
+    monkeypatch.setattr(complexity, "SMALL_ORDER_BOUND", 2)
+    group = parse_group_spec(spec, 7)
+    assert complexity._canonical_key(group) is None
+    calls = []
+    monkeypatch.setattr(construct, "orbit_classes",
+                        lambda fs, conj: calls.append(conj) or orbit_classes(fs, conj))
+    scan = conjugacy_scan(FIB, group)
+    assert len(calls) == len(scan.rows)
+    assert scan == brute_conjugacy_scan(FIB, group)
 
 
 def test_criterion_9_conjugate_cycle_types():

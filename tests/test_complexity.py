@@ -16,8 +16,8 @@ from wordorbits.construct import build_isomorphic_witness, conjugacy_scan
 from wordorbits.perm import (AbelianSpec, GroupSizeError, PermGroup,
                              Permutation, abc_permutation, normalize_spec,
                              parse_cycles, parse_group_spec)
-from wordorbits.words import (ExplicitWord, PeriodicWord, SturmianWord,
-                              factors, fibonacci, thue_morse)
+from wordorbits.words import (ExplicitWord, FactorSet, PeriodicWord,
+                              SturmianWord, factors, fibonacci, thue_morse)
 
 FIB = fibonacci()
 TM = thue_morse()
@@ -217,6 +217,33 @@ def test_small_order_bound_is_inclusive(monkeypatch):
         assert _canonical_key(group) is not None
         monkeypatch.setattr(complexity, "SMALL_ORDER_BOUND", group.order - 1)
         assert _canonical_key(group) is None
+
+
+def test_conjugate_classes_are_the_relabeled_classes():
+    # with H = sigma G sigma^-1 and (pi w)[i] = w[pi^-1(i)], the map
+    # w -> sigma^-1 w carries H's classes on Fact(n) one-to-one onto G's
+    # classes of the relabeled words; conjugacy_scan counts each conjugate
+    # this way, reading sigma^-1 w as w gathered by sigma's 0-based images
+    rng = random.Random(67)
+    groups = [random_group(rng, rng.randint(2, 7), max_gens=3) for _ in range(30)]
+    groups += [dihedral_group(k) for k in range(3, 8)]
+    groups += [PermGroup((parse_cycles("(1,2,3)(4,5,6)", 7),)).conjugate(
+        random_permutation(rng, 7)) for _ in range(5)]
+    for group in groups:
+        n = group.degree
+        sigma = random_permutation(rng, n)
+        gather = [x - 1 for x in sigma.images]
+        key = _canonical_key(group)
+        for source in (FIB, TM):
+            fs = factors(source, n)
+            relabeled = {w: sigma.inverse().act(w) for w in fs.members}
+            assert all(v == "".join(w[i] for i in gather) for w, v in relabeled.items())
+            words = FactorSet(n, tuple(sorted(relabeled.values())), 0, "explicit-prefix")
+            conj_blocks = orbit_classes(fs, group.conjugate(sigma)).blocks
+            images = sorted(sorted(relabeled[w] for w in cls) for cls in conj_blocks)
+            assert images == sorted(map(list, orbit_classes(words, group).blocks)), group
+            if key is not None:
+                assert len({key(v) for v in relabeled.values()}) == len(conj_blocks)
 
 
 def test_least_rotation_against_all_rotations():

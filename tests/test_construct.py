@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from wordorbits import construct
 from wordorbits.complexity import orbit_classes
 from wordorbits.construct import (_least_in_coset, build_conjugate_witness,
                                   build_isomorphic_witness, christoffel_array,
@@ -12,7 +13,8 @@ from wordorbits.construct import (_least_in_coset, build_conjugate_witness,
                                   modular_inverse, sturmian_cycle)
 from wordorbits.perm import (PermGroup, Permutation, byte_closure,
                              normalize_spec, parse_cycles)
-from wordorbits.words import SturmianWord, bispecial_ladder, factors, fibonacci
+from wordorbits.words import (InternalCheckError, SturmianWord, bispecial_ladder,
+                              factors, fibonacci)
 
 FIB = fibonacci()
 DIRECTIVES = (FIB, SturmianWord((2, 1)), SturmianWord((1, 2, 3)))
@@ -277,6 +279,22 @@ def test_scan_counterexample_group():
     assert scan.min_classes == 4
     assert scan.max_classes == 7
     assert len(scan.rows) == 20
+
+
+def test_keyed_scan_never_partitions_a_conjugate(monkeypatch):
+    # G is keyed once and each conjugate is counted on relabeled factors
+    def refuse(fs, group):
+        raise AssertionError(f"orbit_classes reached for {group}")
+    monkeypatch.setattr(construct, "orbit_classes", refuse)
+    scan = conjugacy_scan(FIB, PermGroup((parse_cycles("(1,2,3)(4,5,6)", 7),)))
+    assert len(scan.rows) == 140
+
+
+def test_scan_keeps_the_parikh_span_check(monkeypatch):
+    # a key that merges every word puts all of Fact(n) in one class
+    monkeypatch.setattr(construct, "_canonical_key", lambda group: lambda w: ())
+    with pytest.raises(InternalCheckError, match="Parikh"):
+        conjugacy_scan(FIB, PermGroup((parse_cycles("(1,2,3)(4,5,6)", 7),)))
 
 
 def test_least_conjugator_by_filtering_the_normalizer():
