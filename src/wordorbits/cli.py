@@ -29,17 +29,14 @@ STRUCTURED_FORMAT = "wordorbits/1"
 
 
 def _parse_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        try:
-            return range(int(lo), int(hi) + 1)
-        except ValueError:
-            raise ValueError(f"bad range {text!r}") from None
+    lo, dots, hi = text.partition("..")
     try:
-        n = int(text)
+        ns = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
         raise ValueError(f"bad range {text!r}") from None
-    return range(n, n + 1)
+    if not ns:
+        raise ValueError(f"empty range {text!r}")
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +310,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Lines, or members of a long string list, joined into one ``write``.
+BATCH = 64
+
+
 def _emit(payload: dict, text: list[str], csv_lines: list[str],
           fmt: str, echo: str) -> None:
+    write = sys.stdout.write
     if fmt == "structured":
         body = {"format": STRUCTURED_FORMAT, "version": __version__,
                 "command": echo}
         body.update(payload)
+        for value in body.values():
+            if (isinstance(value, list) and len(value) >= BATCH
+                    and set(map(type, value)) == {str}):
+                # imported only here, so that other reports load no more code
+                from .jsonbatch import write_structured
+                write_structured(body, write)
+                return
         json.dump(body, sys.stdout, sort_keys=True, indent=2)
         print()
         return
-    print(f"# wordorbits {__version__}")
-    print(f"# command: {echo}")
-    for line in (text if fmt == "text" else csv_lines):
-        print(line)
+    lines = [f"# wordorbits {__version__}", f"# command: {echo}",
+             *(text if fmt == "text" else csv_lines)]
+    for start in range(0, len(lines), BATCH):
+        write("\n".join(lines[start:start + BATCH]))
+        write("\n")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -230,16 +230,16 @@ class PermGroup:
 
     @classmethod
     def symmetric(cls, n: int) -> "PermGroup":
-        if n == 1:
-            return cls((Permutation.identity(1),), label="sym")
+        if n <= 1:  # identity(n) rejects n < 1
+            return cls((Permutation.identity(n),), label="sym")
         transposition = parse_cycles("(1,2)", n)
         rotation = Permutation(tuple(range(2, n + 1)) + (1,))
         return cls((transposition, rotation), label="sym")
 
     @classmethod
     def cyclic(cls, n: int) -> "PermGroup":
-        if n == 1:
-            return cls((Permutation.identity(1),), label="cyc")
+        if n <= 1:
+            return cls((Permutation.identity(n),), label="cyc")
         return cls((Permutation(tuple(range(2, n + 1)) + (1,)),), label="cyc")
 
     def descriptor(self) -> str:

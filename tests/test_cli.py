@@ -147,6 +147,22 @@ def test_verify_empty_range_exits_2(capsys):
     assert out == ""
 
 
+def test_complexity_table_empty_range_exits_2(capsys):
+    code, out = run_cli(capsys, "complexity-table", "--word", "fib",
+                        "--groups", "id", "--n", "5..3")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("group", ["id", "sym", "cyc"])
+def test_degree_0_group_exits_2(capsys, group):
+    code = main(["epsilon", "--group", group, "--n", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "degree must be at least 1" in captured.err
+
+
 def test_verify_inapplicable_exits_2(capsys):
     assert main(["verify-theorem1", "--word", "periodic:01",
                  "--groups", "id", "--n", "1..3"]) == 2
@@ -316,6 +332,22 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.returncode == 0
     _, out = run_cli(capsys, *argv)
     assert proc.stdout == out
+
+
+@pytest.mark.parametrize("argv, members", [
+    (("factors", "--word", "tm", "--n", "1000"), 3022),
+    (("orbits", "--word", "periodic:\u00e91", "--n", "3", "--group", "cyc"), 2),
+    (("factors", "--word", 'periodic:a"b\\', "--n", "3"), 4),
+    # a long list whose members all need escaping
+    (("factors", "--word", "subst:\u00e9=\u00e9\\,\\=\\\u00e9;seed=\u00e9", "--n", "300"), 940),
+])
+def test_structured_output_is_json_dumps(capsys, argv, members):
+    _, out = run_cli(capsys, *argv, "--format", "structured")
+    data = json.loads(out)
+    assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
+    source = parse_word_spec(argv[2])
+    assert data["members"] == list(factors(source, int(argv[4])).members)
+    assert len(data["members"]) == members
 
 
 def test_structured_is_versioned_json(capsys):
