@@ -8,8 +8,8 @@ the interval-exchange witnesses that meet the bound on Sturmian words.
 """
 
 from .complexity import (BlockPartition, ComplexityRow, ComplexityTable,
-                         OrbitPartition, block_classes, complexity_table,
-                         is_abelian_transitive, orbit_classes, p_value,
+                         OrbitPartition, complexity_table,
+                         is_abelian_transitive, orbit_classes,
                          verify_complexity_bound)
 from .construct import (ChristoffelArray, ConjugacyScan, FineWilfData,
                         WitnessReport, build_conjugate_witness,

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
-from .perm import GroupSizeError, PermGroup, Permutation, byte_closure
+from .perm import GroupSizeError, PermGroup, Permutation, closure
 from .words import (APERIODIC_YES, FactorSet, InternalCheckError, WordSource,
-                    factors, is_balanced, parikh_key, restrict)
+                    factors, is_balanced)
 
 #: A component outside the symmetric and one-cycle rules whose group has at
 #: most this many elements keys to its least image over the enumerated
@@ -139,13 +139,11 @@ def _small_group_gathers(points: list[int],
     ``x`` is the index in ``points`` of the image of ``points[i]``), and
     each ``x`` becomes ``itemgetter(*x)`` on the component's letters read in
     ``points`` order.  None once the closure passes ``SMALL_ORDER_BOUND``
-    elements, or when the indices do not fit a byte.
+    elements.
     """
-    if len(points) > 256:
-        return None
     local = {p: i for i, p in enumerate(points)}
-    moves = [bytes([local[g(p)] for p in points]) for g in gens]
-    elements = byte_closure(moves, len(points), SMALL_ORDER_BOUND)
+    moves = [[local[g(p)] for p in points] for g in gens]
+    elements = closure(moves, len(points), SMALL_ORDER_BOUND)
     return None if elements is None else [itemgetter(*x) for x in elements]
 
 
@@ -210,12 +208,6 @@ def _orbit_search(fs: FactorSet, group: PermGroup) -> tuple[tuple[str, ...], ...
     return tuple(blocks)
 
 
-def p_value(source: WordSource, group: PermGroup) -> int:
-    """Number of orbit classes of the length-``degree`` factors of ``source``."""
-    fs = factors(source, group.degree)
-    return orbit_classes(fs, group).class_count
-
-
 def is_abelian_transitive(fs: FactorSet, group: PermGroup) -> bool:
     """True iff the orbit classes coincide with the Parikh classes of ``fs``."""
     return orbit_classes(fs, group).abelian_transitive
@@ -262,21 +254,6 @@ class BlockPartition:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(block) for block in self.blocks)
-
-
-def block_classes(fs: FactorSet, partition: BlockPartition,
-                  j: int) -> tuple[tuple[str, ...], ...]:
-    """Classes of equal restricted Parikh vectors on the first ``j`` blocks."""
-    if partition.degree != fs.n:
-        raise ValueError("partition degree must match the factor length")
-    if not 1 <= j <= len(partition.blocks):
-        raise ValueError(f"j must lie in 1..{len(partition.blocks)}")
-    groups: dict[tuple, list[str]] = {}
-    for w in fs.members:
-        key = tuple(parikh_key(restrict(w, block))
-                    for block in partition.blocks[:j])
-        groups.setdefault(key, []).append(w)
-    return tuple(tuple(g) for g in sorted(groups.values()))
 
 
 # ---------------------------------------------------------------------------

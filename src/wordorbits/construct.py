@@ -18,8 +18,9 @@ from operator import itemgetter
 
 from .complexity import (BlockPartition, _canonical_key, is_abelian_transitive,
                          orbit_classes)
-from .perm import (AbelianSpec, PermGroup, Permutation, abc_permutation,
-                   byte_closure)
+from .perm import (AbelianSpec, Images, PermGroup, Permutation,
+                   abc_permutation, closure, compose, conjugate, inverse,
+                   to_permutation, zero_based)
 from .words import (InternalCheckError, SturmianWord, WordSource,
                     bispecial_ladder, factors, restrict)
 
@@ -345,20 +346,20 @@ class ConjugacyScan:
         }
 
 
-def _least_in_coset(sigma: bytes, group: list[bytes]) -> bytes:
+def _least_in_coset(sigma: Images, group: list[Images]) -> Images:
     """The lexicographically least ``sigma * nu`` over ``nu`` in ``group``.
 
-    Permutations are bytes of 0-based images.  Keep the ``nu`` that minimise
-    ``sigma[nu[0]]``, then among those ``sigma[nu[1]]``, and so on until one
-    is left (distinct permutations differ somewhere); only that one is
-    composed.
+    Permutations are 0-based images, as in :mod:`.perm`.  Keep the ``nu``
+    that minimise ``sigma[nu[0]]``, then among those ``sigma[nu[1]]``, and
+    so on until one is left (distinct permutations differ somewhere); only
+    that one is composed.
     """
     i = 0
     while len(group) > 1:
         best = min([sigma[nu[i]] for nu in group])
         group = [nu for nu in group if sigma[nu[i]] == best]
         i += 1
-    return bytes(map(sigma.__getitem__, group[0]))
+    return compose(sigma, group[0])
 
 
 def conjugacy_scan(source: WordSource, group: PermGroup) -> ConjugacyScan:
@@ -383,17 +384,11 @@ def conjugacy_scan(source: WordSource, group: PermGroup) -> ConjugacyScan:
     if n > SCAN_DEGREE_CAP:
         raise ValueError(f"scan degree {n} exceeds the guard {SCAN_DEGREE_CAP}")
     fs = factors(source, n)
-    # Permutations are bytes of 0-based images: p[i] is the image of point i.
-    as_bytes = lambda g: bytes(i - 1 for i in g.images)
-    compose = lambda p, q: bytes(map(p.__getitem__, q))  # p after q
-    inverse = lambda p: bytes(sorted(range(n), key=p.__getitem__))
-    conjugate = lambda m, m_inv, g: bytes(map(m.__getitem__, map(g.__getitem__, m_inv)))
-
-    ident = bytes(range(n))
-    generators = [as_bytes(g) for g in group.generators]
+    ident = zero_based(Permutation.identity(n))
+    generators = [zero_based(g) for g in group.generators]
     moves = [(m, inverse(m))
-             for m in map(as_bytes, PermGroup.symmetric(n).generators)]
-    start = frozenset(byte_closure(generators, n))
+             for m in map(zero_based, PermGroup.symmetric(n).generators)]
+    start = frozenset(closure(generators, n))
     rep = {start: ident}
     todo = [start]
     kept, normalizer, in_normalizer = [], [ident], {ident}
@@ -406,7 +401,7 @@ def conjugacy_scan(source: WordSource, group: PermGroup) -> ConjugacyScan:
                 todo.append(image)
             elif (nu := compose(inverse(rep[image]), reached)) not in in_normalizer:
                 kept.append(nu)
-                normalizer = byte_closure(kept, n)
+                normalizer = closure(kept, n)
                 in_normalizer = set(normalizer)
     reps = list(rep.values())
     del rep, todo
@@ -423,9 +418,8 @@ def conjugacy_scan(source: WordSource, group: PermGroup) -> ConjugacyScan:
     results = []
     for sigma in least:
         sigma_inv = inverse(sigma)
-        conj = PermGroup([
-            Permutation(tuple([x + 1 for x in conjugate(sigma, sigma_inv, g)]))
-            for g in generators], n)
+        conj = PermGroup([to_permutation(conjugate(sigma, sigma_inv, g))
+                          for g in generators], n)
         if key is None:
             count = orbit_classes(fs, conj).class_count
         else:

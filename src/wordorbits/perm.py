@@ -1,12 +1,20 @@
-"""Permutations of {1..n}, generated subgroups, point orbits, abelian specs."""
+"""Permutations of {1..n}, generated subgroups, point orbits, abelian specs.
+
+:class:`Permutation` holds 1-based images for parsing, printing and the
+word action.  Arithmetic runs on 0-based images instead: item i of an
+image sequence is the image of point i, held as ``bytes`` up to degree 256
+and as a tuple above that (:func:`zero_based` picks by degree).  The module
+functions :func:`compose`, :func:`inverse` and :func:`conjugate` work on
+either, and :func:`closure` is the one closure routine;
+:meth:`PermGroup.elements` is that closure turned back into permutations.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 class GroupSizeError(RuntimeError):
@@ -77,9 +85,6 @@ class Permutation:
         return tuple(sorted((len(c) for c in self.cycles(include_fixed=True)),
                             reverse=True))
 
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
-
     def is_cycle(self) -> bool:
         """True iff the permutation is a single cycle through all n points."""
         return len(self.cycles(include_fixed=True)) == 1
@@ -91,13 +96,10 @@ class Permutation:
         return "".join("(" + ",".join(map(str, c)) + ")" for c in cyc)
 
     @cached_property
-    def _gather(self) -> tuple[int, ...]:
+    def _gather(self) -> Images:
         # _gather[i] is the 0-based source position feeding output slot i,
         # i.e. inverse(i + 1) - 1; precomputed so act() is a single join.
-        g = [0] * self.degree
-        for pos0, img in enumerate(self.images):
-            g[img - 1] = pos0
-        return tuple(g)
+        return inverse(zero_based(self))
 
     def act(self, word: str) -> str:
         """Position-permuting action: the i-th output letter is word[g^-1(i)]."""
@@ -109,21 +111,49 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, n={self.degree})"
 
 
-def byte_closure(gens: Collection[bytes], degree: int,
-                 limit: int | None = None) -> list[bytes] | None:
-    """The group ``gens`` generate, each element as the bytes of its images.
+Images = bytes | tuple[int, ...]
 
-    A permutation of ``range(degree)`` is held as ``bytes`` whose item i is
-    the image of i, so ``degree`` is at most 256.  Elements come in
-    breadth-first order from the identity; the result is None once there
-    would be more than ``limit`` of them.
+
+def zero_based(g: Permutation) -> Images:
+    """The 0-based images of ``g``: bytes up to degree 256, else a tuple."""
+    images = [i - 1 for i in g.images]
+    return bytes(images) if g.degree <= 256 else tuple(images)
+
+
+def to_permutation(p: Images) -> Permutation:
+    return Permutation(tuple([i + 1 for i in p]))
+
+
+def compose(p: Images, q: Images) -> Images:
+    """``p`` after ``q``: item i is ``p[q[i]]``."""
+    return type(q)(map(p.__getitem__, q))
+
+
+def inverse(p: Images) -> Images:
+    return type(p)(sorted(range(len(p)), key=p.__getitem__))
+
+
+def conjugate(sigma: Images, sigma_inv: Images, g: Images) -> Images:
+    """``sigma g sigma^-1``, given ``sigma`` and its inverse."""
+    return type(g)(map(sigma.__getitem__, map(g.__getitem__, sigma_inv)))
+
+
+def closure(gens: Iterable[Sequence[int]], degree: int,
+            limit: int | None = None) -> list[Images] | None:
+    """The group ``gens`` generate, each element as its 0-based images.
+
+    The generators may be any sequences of 0-based images; the elements are
+    held like :func:`zero_based` holds them.  They come in breadth-first
+    order from the identity, each new one a generator after an earlier
+    element; the result is None once there would be more than ``limit``.
     """
-    ident = bytes(range(degree))
+    ident = zero_based(Permutation.identity(degree))
+    gens = [type(ident)(g) for g in gens]
     elements = {ident}
     ordered = [ident]
     for x in ordered:  # grows while it is read: a breadth-first queue
         for g in gens:
-            y = bytes(map(g.__getitem__, x))
+            y = compose(g, x)
             if y not in elements:
                 if len(elements) == limit:
                     return None
@@ -211,7 +241,6 @@ class PermGroup:
         self.degree = degree
         self.generators = gens
         self.label = label
-        self._closure: tuple[Permutation, ...] | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PermGroup):
@@ -248,33 +277,16 @@ class PermGroup:
         return ";".join(g.cycle_string() for g in self.generators)
 
     def elements(self) -> tuple[Permutation, ...]:
-        """Breadth-first closure from the identity, in deterministic order.
+        """:func:`closure` of the generators: breadth-first from the identity.
 
         More than ``DEFAULT_CAP`` elements raise :class:`GroupSizeError`.
         """
-        if self._closure is not None:
-            return self._closure
-        limit = self.DEFAULT_CAP
-        ident = Permutation.identity(self.degree)
-        known = {ident}
-        ordered = [ident]
-        frontier = [ident]
-        while frontier:
-            fresh = []
-            for h in frontier:
-                for g in self.generators:
-                    c = g * h
-                    if c not in known:
-                        known.add(c)
-                        if len(known) > limit:
-                            raise GroupSizeError(
-                                f"closure of <{self.descriptor()}> exceeds cap {limit}; "
-                                "use generator-based orbit algorithms instead")
-                        ordered.append(c)
-                        fresh.append(c)
-            frontier = fresh
-        self._closure = tuple(ordered)
-        return self._closure
+        found = closure(map(zero_based, self.generators), self.degree, self.DEFAULT_CAP)
+        if found is None:
+            raise GroupSizeError(
+                f"closure of <{self.descriptor()}> exceeds cap {self.DEFAULT_CAP}; "
+                "use generator-based orbit algorithms instead")
+        return tuple(map(to_permutation, found))
 
     @property
     def order(self) -> int:
@@ -306,17 +318,6 @@ class PermGroup:
     def epsilon(self) -> int:
         """Number of orbits of the group on the points {1..n}."""
         return self.point_orbits().count
-
-    def conjugate(self, sigma: Permutation) -> "PermGroup":
-        if sigma.degree != self.degree:
-            raise ValueError("conjugator degree mismatch")
-        inv = sigma.inverse()
-        return PermGroup(tuple(sigma * g * inv for g in self.generators),
-                         self.degree)
-
-    def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(g * h == h * g for i, g in enumerate(gens) for h in gens[i + 1:])
 
 
 def parse_group_spec(text: str, degree: int) -> PermGroup:
@@ -438,10 +439,6 @@ class AbelianSpec:
     @property
     def trace(self) -> int:
         return sum(self.moduli)
-
-    def isomorphic_to(self, other: "AbelianSpec") -> bool:
-        drop = lambda spec: tuple(m for m in sorted(spec.moduli) if m > 1)
-        return drop(self) == drop(other)
 
     def padded(self, n: int) -> "AbelianSpec":
         """Append trivial factors until the trace reaches ``n``."""

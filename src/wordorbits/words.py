@@ -254,14 +254,6 @@ def restrict(word: str, positions: Iterable[int]) -> str:
     return "".join(word[i - 1] for i in pts)
 
 
-def parikh_classes(members: Iterable[str]) -> tuple[tuple[str, ...], ...]:
-    """Partition words into Parikh classes, classes ordered by least member."""
-    groups: dict[tuple[tuple[str, int], ...], list[str]] = {}
-    for w in sorted(members):
-        groups.setdefault(parikh_key(w), []).append(w)
-    return tuple(tuple(g) for g in groups.values())
-
-
 # ---------------------------------------------------------------------------
 # factor sets
 

@@ -13,7 +13,7 @@ import pytest
 
 from wordorbits import complexity, construct
 from wordorbits.cli import main as cli_main
-from wordorbits.complexity import orbit_classes, p_value, verify_complexity_bound
+from wordorbits.complexity import orbit_classes, verify_complexity_bound
 from wordorbits.construct import (ConjugacyScan, build_conjugate_witness,
                                   build_isomorphic_witness, christoffel_array,
                                   conjugacy_scan, sturmian_cycle)
@@ -21,6 +21,8 @@ from wordorbits.perm import (PermGroup, Permutation, abc_permutation,
                              normalize_spec, parse_cycles, parse_group_spec)
 from wordorbits.words import (SturmianWord, bispecial_ladder, factors,
                               fibonacci, parse_word_spec, thue_morse)
+
+from helpers import closure_classes, conjugate_group, p_value, product_closure
 
 ACCEPTANCE_LINES = []
 
@@ -43,20 +45,6 @@ def random_permutation(rng, n):
     return Permutation(tuple(images))
 
 
-def closure_classes(fs, group):
-    """Independent oracle: apply every element of the full closure."""
-    elements = group.elements()
-    seen = set()
-    blocks = []
-    for u in fs.members:
-        if u in seen:
-            continue
-        cls = tuple(sorted({g.act(u) for g in elements} & fs.member_set))
-        blocks.append(cls)
-        seen.update(cls)
-    return tuple(blocks)
-
-
 def brute_conjugacy_scan(source, group):
     """Independent oracle: conjugate by every sigma in S_n, in lex order.
 
@@ -65,7 +53,7 @@ def brute_conjugacy_scan(source, group):
     """
     n = group.degree
     fs = factors(source, n)
-    base_elements = group.elements()
+    base_elements = product_closure(group)
     results = {}
     for images in itertools.permutations(range(1, n + 1)):
         sigma = Permutation(images)
@@ -73,7 +61,7 @@ def brute_conjugacy_scan(source, group):
         elements = frozenset(sigma * g * inv for g in base_elements)
         if elements in results:
             continue
-        conj = group.conjugate(sigma)
+        conj = conjugate_group(group, sigma)
         count = orbit_classes(fs, conj).class_count
         results[elements] = (conj.descriptor(), count)
     rows = tuple(sorted(results.values(), key=lambda item: (item[1], item[0])))
@@ -109,7 +97,7 @@ def test_criterion_2_epsilon_embeddings_and_conjugacy_invariance():
         eps = group.epsilon
         for _ in range(4):
             sigma = random_permutation(rng, n)
-            ok &= group.conjugate(sigma).epsilon == eps
+            ok &= conjugate_group(group, sigma).epsilon == eps
             checked += 1
     _record(2, ok and checked == 200, time.perf_counter() - started, 10,
             "epsilon values 2 and 1; invariant under 200 conjugations")

@@ -9,15 +9,16 @@ from wordorbits import complexity
 from wordorbits.cli import main
 from wordorbits.complexity import (BlockPartition, _canonical_key,
                                    _least_rotation, _orbit_search,
-                                   block_classes, complexity_table,
-                                   is_abelian_transitive, orbit_classes,
-                                   p_value, verify_complexity_bound)
+                                   complexity_table, is_abelian_transitive,
+                                   orbit_classes, verify_complexity_bound)
 from wordorbits.construct import build_isomorphic_witness, conjugacy_scan
 from wordorbits.perm import (AbelianSpec, GroupSizeError, PermGroup,
                              Permutation, abc_permutation, normalize_spec,
                              parse_cycles, parse_group_spec)
 from wordorbits.words import (ExplicitWord, FactorSet, PeriodicWord,
                               SturmianWord, factors, fibonacci, thue_morse)
+
+from helpers import block_classes, conjugate_group, p_value, product_closure
 
 FIB = fibonacci()
 TM = thue_morse()
@@ -76,7 +77,7 @@ def test_orbit_classes_match_full_closure_oracle():
         fs = factors(rng.choice((FIB, TM)), n)
         group = random_group(rng, n)
         part = orbit_classes(fs, group)
-        elements = group.elements()
+        elements = product_closure(group)
         oracle = {}
         for u in fs.members:
             images = {g.act(u) for g in elements}
@@ -129,7 +130,7 @@ def random_block_group(rng, n):
 def keyed_groups(rng):
     for n in range(1, 10):
         yield PermGroup.symmetric(n)
-        yield PermGroup.symmetric(n).conjugate(random_permutation(rng, n))
+        yield conjugate_group(PermGroup.symmetric(n), random_permutation(rng, n))
         yield PermGroup.cyclic(n)
         yield random_block_group(rng, n)
     for n in range(2, 10):
@@ -178,11 +179,11 @@ def small_order_groups(rng):
         yield PermGroup([random_permutation(rng, n)
                          for _ in range(rng.randint(1, 3))])
     for _ in range(10):
-        yield PermGroup((parse_cycles("(1,2,3)(4,5,6)", 7),)).conjugate(
-            random_permutation(rng, 7))
+        yield conjugate_group(PermGroup((parse_cycles("(1,2,3)(4,5,6)", 7),)),
+                              random_permutation(rng, 7))
     for k in range(3, 9):
         yield dihedral_group(k)
-        yield dihedral_group(k).conjugate(random_permutation(rng, k))
+        yield conjugate_group(dihedral_group(k), random_permutation(rng, k))
     for a in range(4):
         for b in range(4):
             for c in range(4):
@@ -195,7 +196,11 @@ def small_order_groups(rng):
 def test_small_order_keys_match_the_orbit_search():
     rng = random.Random(53)
     keyed = 0
-    for group in small_order_groups(rng):
+    # 150 disjoint transpositions: one component of 300 points, order 2
+    swaps = "".join(f"({i},{i + 1})" for i in range(1, 300, 2))
+    wide = PermGroup((parse_cycles(swaps, 300),))
+    assert _canonical_key(wide) is not None
+    for group in [*small_order_groups(rng), wide]:
         keyed += _canonical_key(group) is not None
         for source in (FIB, TM):
             fs = factors(source, group.degree)
@@ -227,8 +232,8 @@ def test_conjugate_classes_are_the_relabeled_classes():
     rng = random.Random(67)
     groups = [random_group(rng, rng.randint(2, 7), max_gens=3) for _ in range(30)]
     groups += [dihedral_group(k) for k in range(3, 8)]
-    groups += [PermGroup((parse_cycles("(1,2,3)(4,5,6)", 7),)).conjugate(
-        random_permutation(rng, 7)) for _ in range(5)]
+    groups += [conjugate_group(PermGroup((parse_cycles("(1,2,3)(4,5,6)", 7),)),
+                               random_permutation(rng, 7)) for _ in range(5)]
     for group in groups:
         n = group.degree
         sigma = random_permutation(rng, n)
@@ -239,7 +244,7 @@ def test_conjugate_classes_are_the_relabeled_classes():
             relabeled = {w: sigma.inverse().act(w) for w in fs.members}
             assert all(v == "".join(w[i] for i in gather) for w, v in relabeled.items())
             words = FactorSet(n, tuple(sorted(relabeled.values())), 0, "explicit-prefix")
-            conj_blocks = orbit_classes(fs, group.conjugate(sigma)).blocks
+            conj_blocks = orbit_classes(fs, conjugate_group(group, sigma)).blocks
             images = sorted(sorted(relabeled[w] for w in cls) for cls in conj_blocks)
             assert images == sorted(map(list, orbit_classes(words, group).blocks)), group
             if key is not None:

@@ -11,10 +11,12 @@ from wordorbits.construct import (_least_in_coset, build_conjugate_witness,
                                   build_isomorphic_witness, christoffel_array,
                                   conjugacy_scan, fine_wilf_data,
                                   modular_inverse, sturmian_cycle)
-from wordorbits.perm import (PermGroup, Permutation, byte_closure,
-                             normalize_spec, parse_cycles)
+from wordorbits.perm import (PermGroup, Permutation, closure, normalize_spec,
+                             parse_cycles)
 from wordorbits.words import (InternalCheckError, SturmianWord, bispecial_ladder,
                               factors, fibonacci)
+
+from helpers import closure_classes
 
 FIB = fibonacci()
 DIRECTIVES = (FIB, SturmianWord((2, 1)), SturmianWord((1, 2, 3)))
@@ -167,19 +169,6 @@ def test_rows_shift_cyclically_by_q():
 
 # --- witness constructions -----------------------------------------------------------------
 
-def brute_force_classes(fs, group):
-    elements = group.elements()
-    seen = set()
-    blocks = []
-    for u in fs.members:
-        if u in seen:
-            continue
-        cls = tuple(sorted({g.act(u) for g in elements} & fs.member_set))
-        blocks.append(cls)
-        seen.update(cls)
-    return tuple(blocks)
-
-
 def test_isomorphic_witness_single_cycle():
     report = build_isomorphic_witness(FIB, 4, normalize_spec([4]))
     assert report.group.generators == (parse_cycles("(1,3,2,4)"),)
@@ -228,7 +217,7 @@ def test_witness_class_count_against_closure_oracle():
             report = build_isomorphic_witness(source, n, spec)
             assert report.passed
             fs = factors(source, n)
-            assert brute_force_classes(fs, report.group) == report.classes
+            assert closure_classes(fs, report.group) == report.classes
 
 
 def test_conjugate_witness_examples():
@@ -308,7 +297,7 @@ def test_least_conjugator_by_filtering_the_normalizer():
             images = list(range(n))
             rng.shuffle(images)
             gens.append(bytes(images))
-        group = byte_closure(gens, n)
+        group = closure(gens, n)
         sigma = list(range(n))
         rng.shuffle(sigma)
         sigma = bytes(sigma)

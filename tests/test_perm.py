@@ -9,8 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wordorbits.perm import (AbelianSpec, GroupSizeError, PermGroup,
-                             Permutation, abc_permutation, byte_closure,
-                             normalize_spec, parse_cycles, parse_group_spec)
+                             Permutation, abc_permutation, closure, compose,
+                             conjugate, inverse, normalize_spec, parse_cycles,
+                             parse_group_spec, to_permutation, zero_based)
+
+from helpers import (conjugate_group, is_abelian, isomorphic_specs,
+                     permutation_order, product_closure)
 
 
 @st.composite
@@ -28,6 +32,12 @@ def two_perms_and_word(draw, max_degree=10):
     h = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
     word = draw(st.text(alphabet="01", min_size=n, max_size=n))
     return g, h, word
+
+
+def random_permutation(rng, n):
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    return Permutation(tuple(images))
 
 
 # --- cycle notation -----------------------------------------------------------
@@ -66,8 +76,8 @@ def test_compose_inverse_order():
     swap = parse_cycles("(1,2)", 2)
     assert swap * swap == Permutation.identity(2)
     assert parse_cycles("(1,2,3)").inverse() == parse_cycles("(1,3,2)")
-    assert parse_cycles("(1,2,3)(4,5,6)").order() == 3
-    assert Permutation.identity(5).order() == 1
+    assert permutation_order(parse_cycles("(1,2,3)(4,5,6)")) == 3
+    assert permutation_order(Permutation.identity(5)) == 1
 
 
 def test_degree_mismatch():
@@ -107,6 +117,11 @@ def test_act_composition_law(data):
     assert g.act(h.act(word)) == (g * h).act(word)
     assert Permutation.identity(len(word)).act(word) == word
     assert g.act(g.inverse().act(word)) == word
+    # the 0-based module functions agree with the 1-based methods
+    p, q = zero_based(g), zero_based(h)
+    assert to_permutation(compose(p, q)) == g * h
+    assert to_permutation(inverse(p)) == g.inverse()
+    assert to_permutation(conjugate(p, inverse(p), q)) == g * h * g.inverse()
 
 
 # --- groups and orbits ------------------------------------------------------------
@@ -128,19 +143,37 @@ def test_closure_cap(monkeypatch):
         big.elements()
 
 
-def test_byte_closure_matches_elements():
+def test_byte_closure_matches_elements(monkeypatch):
     for spec, n in (("(1,2,3)(4,5)", 5), ("(1,3);(1,2,3,4)", 4), ("id", 3)):
         group = parse_group_spec(spec, n)
         gens = [bytes([i - 1 for i in g.images]) for g in group.generators]
-        closed = byte_closure(gens, n)
+        closed = closure(gens, n)
         assert closed[0] == bytes(range(n))
         assert ({tuple([x + 1 for x in y]) for y in closed}
                 == {g.images for g in group.elements()})
         assert len(closed) == group.order
-        assert byte_closure(gens, n, group.order) == closed
+        assert closure(gens, n, group.order) == closed
         if group.order > 1:
-            assert byte_closure(gens, n, group.order - 1) is None
-    assert byte_closure([], 4) == [bytes(range(4))]
+            assert closure(gens, n, group.order - 1) is None
+    assert closure([], 4) == [bytes(range(4))]
+    # the library closure lists the elements in the product oracle's order
+    rng = random.Random(19)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        group = PermGroup([random_permutation(rng, n) for _ in range(rng.randint(1, 3))])
+        oracle = product_closure(group)
+        assert group.elements() == oracle
+        assert closure(map(zero_based, group.generators), n) == list(map(zero_based, oracle))
+    # past degree 256 the images are tuples, with the same closure and cap
+    assert PermGroup.trivial(300).order == 1
+    swap = PermGroup((parse_cycles("(1,300)"),))
+    assert swap.order == 2
+    assert swap.elements() == product_closure(swap)
+    assert closure(map(zero_based, swap.generators), 300)[1] == zero_based(swap.generators[0])
+    assert type(zero_based(swap.generators[0])) is tuple
+    monkeypatch.setattr(PermGroup, "DEFAULT_CAP", 1)
+    with pytest.raises(GroupSizeError):
+        swap.elements()
 
 
 def test_single_generator_order_matches_element_order():
@@ -150,7 +183,7 @@ def test_single_generator_order_matches_element_order():
         images = list(range(1, n + 1))
         rng.shuffle(images)
         g = Permutation(tuple(images))
-        assert PermGroup((g,)).order == g.order()
+        assert PermGroup((g,)).order == permutation_order(g)
 
 
 def test_closure_order_divides_factorial():
@@ -189,21 +222,21 @@ def test_epsilon_is_conjugacy_invariant():
         conj_images = list(range(1, n + 1))
         rng.shuffle(conj_images)
         sigma = Permutation(tuple(conj_images))
-        assert group.conjugate(sigma).epsilon == group.epsilon
+        assert conjugate_group(group, sigma).epsilon == group.epsilon
 
 
 def test_conjugate_examples():
     g = PermGroup((parse_cycles("(1,2,3,4)"),))
-    assert g.conjugate(Permutation.identity(4)) == g
-    conj = g.conjugate(parse_cycles("(2,3)", 4))
+    assert conjugate_group(g, Permutation.identity(4)) == g
+    conj = conjugate_group(g, parse_cycles("(2,3)", 4))
     assert conj.generators == (parse_cycles("(1,3,2,4)"),)
 
 
 def test_is_abelian():
-    assert PermGroup((parse_cycles("(1,2,3,4)"),)).is_abelian()
-    assert not PermGroup((parse_cycles("(1,2)", 3),
-                          parse_cycles("(1,2,3)"))).is_abelian()
-    assert PermGroup.trivial(4).is_abelian()
+    assert is_abelian(PermGroup((parse_cycles("(1,2,3,4)"),)))
+    assert not is_abelian(PermGroup((parse_cycles("(1,2)", 3),
+                                     parse_cycles("(1,2,3)"))))
+    assert is_abelian(PermGroup.trivial(4))
 
 
 # --- abc permutations ----------------------------------------------------------
@@ -259,8 +292,8 @@ def test_spec_parse():
 
 
 def test_spec_isomorphism_ignores_trivial_factors():
-    assert normalize_spec([4, 2]).isomorphic_to(normalize_spec([2, 1, 4]))
-    assert not normalize_spec([4]).isomorphic_to(normalize_spec([2, 2]))
+    assert isomorphic_specs(normalize_spec([4, 2]), normalize_spec([2, 1, 4]))
+    assert not isomorphic_specs(normalize_spec([4]), normalize_spec([2, 2]))
 
 
 def test_trace_bound_witnessed_by_embedding():
@@ -272,7 +305,7 @@ def test_trace_bound_witnessed_by_embedding():
         assert group.degree == spec.trace
         assert group.epsilon == len(spec.moduli)
         assert group.order == math.prod(spec.moduli)
-        assert group.is_abelian()
+        assert is_abelian(group)
 
 
 def test_padded_spec():

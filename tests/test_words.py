@@ -9,9 +9,11 @@ from hypothesis import given, strategies as st
 from wordorbits import words
 from wordorbits.words import (ExplicitWord, PeriodicWord, StabilizationError,
                               SturmianWord, SubstitutionWord, bispecial_ladder,
-                              factors, fibonacci, is_balanced, parikh_classes,
-                              parikh_key, parse_word_spec, restrict,
-                              special_factors, substitution, thue_morse)
+                              factors, fibonacci, is_balanced, parikh_key,
+                              parse_word_spec, restrict, special_factors,
+                              substitution, thue_morse)
+
+from helpers import parikh_classes
 
 FIB = fibonacci()
 TM = thue_morse()
