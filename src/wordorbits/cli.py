@@ -137,7 +137,10 @@ def _run_table(args, check: bool):
     return code, payload, text, csv_lines
 
 
-def _witness_lines(report: WitnessReport) -> tuple[list[str], list[str]]:
+def _witness_lines(report: WitnessReport, fmt: str) -> tuple[list[str], list[str]]:
+    """Text and CSV lines of a witness report, built only for those formats."""
+    if fmt == "structured":
+        return [], []
     blocks = " ".join("{" + ",".join(map(str, b)) + "}"
                       for b in report.partition.blocks)
     text = [
@@ -172,7 +175,7 @@ def _run_witness(args):
     report = build_isomorphic_witness(source, args.n, spec)
     payload = report.to_structured()
     payload["word"] = source.name
-    text, csv_lines = _witness_lines(report)
+    text, csv_lines = _witness_lines(report, args.format)
     return (0 if report.passed else 1), payload, text, csv_lines
 
 
@@ -182,7 +185,7 @@ def _run_conjugate_witness(args):
     report = build_conjugate_witness(source, sigma)
     payload = report.to_structured()
     payload["word"] = source.name
-    text, csv_lines = _witness_lines(report)
+    text, csv_lines = _witness_lines(report, args.format)
     return (0 if report.passed else 1), payload, text, csv_lines
 
 

@@ -39,8 +39,15 @@ class OrbitPartition:
 
     @property
     def abelian_transitive(self) -> bool:
-        """True iff the orbit classes coincide with the Parikh classes."""
-        return self.blocks == self.factor_set.parikh_classes()
+        """True iff the orbit classes coincide with the Parikh classes.
+
+        They do when each class lies in one Parikh class and the classes are
+        as many as the Parikh classes, so the Parikh classes are counted,
+        not built.
+        """
+        ids = self.factor_set.parikh_ids
+        return (len(self.blocks) == max(ids.values(), default=-1) + 1
+                and all(len({ids[w] for w in cls}) == 1 for cls in self.blocks))
 
 
 def orbit_classes(fs: FactorSet, group: PermGroup) -> OrbitPartition:

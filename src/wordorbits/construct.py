@@ -254,7 +254,6 @@ def _build_block_witness(source: SturmianWord, sizes: tuple[int, ...],
                          input_data: tuple[int, ...]) -> WitnessReport:
     partition = BlockPartition.intervals(sizes)
     n = partition.degree
-    fs = factors(source, n)
     cycles = []
     for block in partition.blocks:
         base = sturmian_cycle(source, len(block))
@@ -269,6 +268,7 @@ def _build_block_witness(source: SturmianWord, sizes: tuple[int, ...],
     if epsilon != len(sizes):
         raise InternalCheckError(
             f"block cycles produced {epsilon} point orbits, expected {len(sizes)}")
+    fs = factors(source, n)  # after the cycles, whose checks build factor sets of their own
     for block in partition.blocks:
         if len(block) == 1:
             continue

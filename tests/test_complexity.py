@@ -299,6 +299,27 @@ def test_abelian_transitivity_on_low_complexity_word():
     assert is_abelian_transitive(fs, G2)
 
 
+def test_abelian_transitive_counts_agree_with_built_parikh_classes():
+    rng = random.Random(11)
+    seen = set()
+    for source in (FIB, TM, SturmianWord((1, 2, 1, 3))):
+        for n in range(2, 9):
+            fs = factors(source, n)
+            groups = [PermGroup.trivial(n), PermGroup.symmetric(n),
+                      PermGroup.cyclic(n)] + [random_group(rng, n) for _ in range(6)]
+            for group in groups:
+                part = orbit_classes(fs, group)
+                expected = part.blocks == fs.parikh_classes()
+                assert part.abelian_transitive == expected
+                seen.add(expected)
+    assert seen == {True, False}
+    # as many classes as Parikh classes, but one class spans two of them
+    fs = factors(FIB, 4)
+    mixed = (("0010", "0101"), ("0100", "1001", "1010"))
+    assert len(fs.parikh_classes()) == len(mixed)
+    assert not complexity.OrbitPartition(fs, G1, mixed).abelian_transitive
+
+
 # --- block-abelian relations ------------------------------------------------------------
 
 def test_block_classes_examples():
