@@ -16,6 +16,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 #: Hard ceiling on the letters any factor set is read from.
 PREFIX_CAP = 1 << 22
+#: Hard ceiling on the letters any factor set holds: its size times n.
+HELD_CAP = 1 << 29
 
 APERIODIC_YES = "yes-by-theory"
 APERIODIC_NO = "no"
@@ -23,7 +25,7 @@ APERIODIC_UNKNOWN = "unknown"
 
 
 class StabilizationError(RuntimeError):
-    """Factor enumeration needed more letters than the prefix cap."""
+    """Factor enumeration needed more letters than the prefix or held cap."""
 
 
 class InternalCheckError(RuntimeError):
@@ -312,13 +314,34 @@ class FactorSet:
         return tuple([tuple(g) for g in groups.values()])
 
 
-def _windows(text: str, n: int) -> set[str]:
-    return {text[i:i + n] for i in range(len(text) - n + 1)}
-
-
 def _cap_error(source: WordSource, n: int) -> StabilizationError:
     return StabilizationError(f"factors of length {n} of {source.name} need more "
                               f"than the prefix cap of {PREFIX_CAP} letters")
+
+
+def _held_error(source: WordSource, n: int) -> StabilizationError:
+    return StabilizationError(f"factors of length {n} of {source.name} would hold "
+                              f"more than the cap of {HELD_CAP} letters")
+
+
+def _collect_windows(source: WordSource, texts: Iterable[str], n: int) -> set[str]:
+    """The distinct length-n windows of the texts, collected in one set.
+
+    Each window is added as soon as it is sliced, so a repeat is freed at
+    once, and StabilizationError is raised as soon as the set would hold
+    more than ``HELD_CAP`` letters.
+    """
+    found, limit = set(), HELD_CAP // n
+    for text in texts:
+        start, end = 0, len(text) - n + 1
+        while start < end:
+            # each window adds at most one member, so found stays within limit + 1
+            stop = min(end, start + limit + 1 - len(found))
+            found.update(text[i:i + n] for i in range(start, stop))
+            if len(found) > limit:
+                raise _held_error(source, n)
+            start = stop
+    return found
 
 
 def _sturmian_windows(source: SturmianWord, n: int) -> tuple[set[str], int]:
@@ -386,7 +409,7 @@ def _substitution_windows(source: SubstitutionWord, n: int) -> tuple[set[str], i
         if read > PREFIX_CAP:
             raise _cap_error(source, n)
         todo.extend({text[i:i + m] for i in range(len(images[v[0]]))})
-    return set().union(*(_windows(text, n) for text in texts.values())), read
+    return _collect_windows(source, texts.values(), n), read
 
 
 def factors(source: WordSource, n: int) -> FactorSet:
@@ -398,15 +421,20 @@ def factors(source: WordSource, n: int) -> FactorSet:
     substitution's are closed under desubstitution from its first n letters
     (see :func:`_substitution_windows`).  Explicit sources use their whole
     prefix, a lower approximation by construction.  Every path reads at most
-    ``PREFIX_CAP`` letters, else :class:`StabilizationError`.
+    ``PREFIX_CAP`` letters and holds at most ``HELD_CAP``, else
+    :class:`StabilizationError`.
     """
     if n < 1:
         raise ValueError("factor length must be at least 1")
+    if source.aperiodic == APERIODIC_YES and n * (n + 1) > HELD_CAP:
+        # Morse-Hedlund: an aperiodic word has at least n + 1 factors of length n
+        raise _held_error(source, n)
     provenance = "certified"
     if source.kind == "explicit":
         if n > len(source.bits):
             raise ValueError("explicit prefix is shorter than the requested factor length")
-        found, read, provenance = _windows(source.bits, n), len(source.bits), "explicit-prefix"
+        found = _collect_windows(source, [source.bits], n)
+        read, provenance = len(source.bits), "explicit-prefix"
     elif source.kind == "sturmian":
         found, read = _sturmian_windows(source, n)
     elif source.kind == "periodic":
@@ -414,7 +442,7 @@ def factors(source: WordSource, n: int) -> FactorSet:
         read = reps * len(source.pattern)
         if read > PREFIX_CAP:
             raise _cap_error(source, n)
-        found = _windows(source.pattern * reps, n)
+        found = _collect_windows(source, [source.pattern * reps], n)
     else:
         found, read = _substitution_windows(source, n)
     return FactorSet(n, tuple(sorted(found)), read, provenance)

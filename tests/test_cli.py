@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,18 @@ def test_unknown_flag_exits_2(capsys):
 
 def test_bad_word_spec_exits_2(capsys):
     assert main(["factors", "--word", "nope:x", "--n", "4"]) == 2
+
+
+def test_held_cap_exits_2_before_reading(capsys):
+    # Morse-Hedlund: these factors would hold at least 9·10^10 letters
+    tracemalloc.start()
+    try:
+        assert main(["factors", "--word", "tm", "--n", "300000"]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert "would hold" in capsys.readouterr().err
 
 
 def test_bad_group_spec_exits_2(capsys):

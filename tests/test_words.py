@@ -144,8 +144,10 @@ def test_certified_paths_are_capped(monkeypatch):
 
 
 def test_substitution_cap_holds_before_the_images_are_built(monkeypatch):
-    # σ^20 of each Thue-Morse letter is 2^20 letters long
+    # σ^20 of each Thue-Morse letter is 2^20 letters long; the held cap is
+    # lifted so that the prefix cap, not the Morse-Hedlund bound, raises
     monkeypatch.setattr(words, "PREFIX_CAP", 64)
+    monkeypatch.setattr(words, "HELD_CAP", 1 << 62)
     tracemalloc.start()
     try:
         with pytest.raises(StabilizationError):
@@ -154,6 +156,62 @@ def test_substitution_cap_holds_before_the_images_are_built(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("spec, n", [
+    ("tm", 12), ("sturmian:2,1", 7), ("periodic:0010", 6),
+    ("prefix:0110100110010110", 4), ("subst:a=abc,b=b,c=ca;seed=a", 12),
+    ("subst:x=xy,y=yx;seed=x", 12)])
+def test_held_letters_are_capped(monkeypatch, spec, n):
+    # the cap counts distinct members times n, raising one letter below it;
+    # the Sturmian word, with n + 1 members, raises by Morse-Hedlund before
+    # any window is sliced; the relabeled Thue-Morse word is not flagged
+    # aperiodic, so the collector raises
+    source = parse_word_spec(spec)
+    fs = factors(source, n)
+    monkeypatch.setattr(words, "HELD_CAP", len(fs) * n)
+    assert factors(source, n) == fs
+    monkeypatch.setattr(words, "HELD_CAP", len(fs) * n - 1)
+    with pytest.raises(StabilizationError, match="would hold"):
+        factors(source, n)
+
+
+def test_held_cap_counts_distinct_windows_only(monkeypatch):
+    # a million windows' worth of letters are sliced, but two are distinct
+    assert factors(PeriodicWord("01"), 10 ** 6).members == (
+        "01" * (10 ** 6 // 2), "10" * (10 ** 6 // 2))
+    # 91 windows of 10 letters, one distinct
+    monkeypatch.setattr(words, "HELD_CAP", 64)
+    assert factors(ExplicitWord("0" * 100), 10).members == ("0" * 10,)
+
+
+@given(st.data())
+def test_collected_windows_match_the_brute_force_union(data):
+    base = data.draw(st.text(alphabet="01", min_size=1, max_size=40))
+    cuts = st.tuples(st.integers(0, len(base)), st.integers(0, len(base)))
+    texts = [base[min(a, b):max(a, b)] for a, b in data.draw(st.lists(cuts, max_size=6))]
+    n, cap = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 80))
+    union = {t[i:i + n] for t in texts for i in range(len(t) - n + 1)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "HELD_CAP", cap)
+        if len(union) * n > cap:
+            with pytest.raises(StabilizationError):
+                words._collect_windows(TM, texts, n)
+        else:
+            assert words._collect_windows(TM, texts, n) == union
+
+
+def test_factor_set_is_built_in_little_more_than_it_holds():
+    # 4096 windows of 1000 letters are sliced for 3022 distinct ones; each
+    # repeat is freed as soon as it is sliced
+    tracemalloc.start()
+    try:
+        fs = factors(TM, 1000)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fs) == 3022
+    assert peak <= 1.15 * held
 
 
 def test_provenance():
